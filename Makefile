@@ -3,13 +3,13 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test clippy golden bless scenarios serve-metrics fleet tune trace profile bench reproduce clean
+.PHONY: check build test clippy golden bless scenarios serve-metrics fleet tune bench-smoke trace profile bench reproduce clean
 
 ## Full gate: release build, tests, warning-free clippy, the
 ## golden-trace regression suite (plus the examples it ships with), the
-## four-scenario smoke run, the live-/metrics endpoint smoke, and the
-## fleet and tuning determinism smokes.
-check: build test clippy golden scenarios serve-metrics fleet tune
+## four-scenario smoke run, the live-/metrics endpoint smoke, the
+## fleet and tuning determinism smokes, and the benchmark self-test.
+check: build test clippy golden scenarios serve-metrics fleet tune bench-smoke
 
 build:
 	$(CARGO) build --release
@@ -77,6 +77,12 @@ tune: build
 	@cmp out/tune/report-w1.txt out/tune/report-w7.txt || { echo "tune: report differs across worker counts"; exit 1; }
 	@echo "tune: report byte-identical across MLPERF_WORKERS=1 and 7"
 
+## Build the repo benchmark (perfbench/, a package outside the
+## workspace, so nothing above compiles it) and run its self-test: tiny
+## inputs through every workload, every metric and every output check.
+bench-smoke:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
+
 ## Regenerate every artifact with per-query tracing; one JSON trace per
 ## artifact lands in out/trace/.
 trace:
@@ -91,9 +97,9 @@ profile:
 ## Serial-vs-parallel suite sweep, the planned-vs-unplanned query hot
 ## loop, the serial-vs-sweep ablation artifact, the batched lockstep
 ## executor lane sweep, the fleet population sweep, the auto-tuner
-## candidate-evaluation and search benches, and the BENCH_query.json /
-## BENCH_ablations.json / BENCH_batch.json / BENCH_fleet.json /
-## BENCH_tune.json speedup reports.
+## search bench, and the BENCH_query.json / BENCH_ablations.json /
+## BENCH_batch.json / BENCH_fleet.json speedup reports. The tuner's
+## end-to-end numbers come from `perfbench --workload tune`.
 bench:
 	$(CARGO) bench -p mlperf-bench --bench suite_sweep
 	$(CARGO) bench -p mlperf-bench --bench query_hot_loop
@@ -105,7 +111,6 @@ bench:
 	$(CARGO) run --release -p mlperf-bench --bin bench_ablations
 	$(CARGO) run --release -p mlperf-bench --bin bench_batch
 	$(CARGO) run --release -p mlperf-bench --bin bench_fleet
-	$(CARGO) run --release -p mlperf-bench --bin bench_tune
 
 ## Regenerate every paper artifact; writes BENCH_suite.json with
 ## per-table wall-clock and compile-cache counters.

@@ -1,54 +1,20 @@
-//! Criterion bench: auto-tuner candidate evaluation and end-to-end
-//! search.
+//! Criterion bench: auto-tuner end-to-end search.
 //!
-//! `evaluate` compares the scalar (K=1) and batched (K=8) candidate
-//! evaluators over the same 4,096 random supported assignments on one
-//! real submission cell's search space — the speedup here is the whole
-//! point of the lockstep lane design. `search` runs the full beam /
-//! branch-and-bound `tune()` of that cell under both objectives, so a
-//! regression in pruning or dedup shows up as wall-clock, not just
-//! counter drift.
+//! `search` runs the full beam / branch-and-bound `tune()` of one real
+//! submission cell under both objectives, so a regression in pruning or
+//! dedup shows up as wall-clock, not just counter drift.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlperf_mobile::app::submission_backend;
 use mlperf_mobile::runner::CompileCache;
 use mlperf_mobile::task::{suite, SuiteVersion};
-use mobile_backend::tune::{search_model, tune, TunerConfig};
+use mobile_backend::tune::{tune, TunerConfig};
 use nn_graph::models::ModelId;
 use soc_sim::catalog::ChipId;
-use soc_sim::search::MAX_LANES;
 use std::hint::black_box;
 
-const CANDIDATES: usize = 4_096;
 const CHIP: ChipId = ChipId::Snapdragon888;
 const MODEL: ModelId = ModelId::DeepLabV3Plus;
-
-/// Deterministic xorshift* stream for the assignment walk.
-fn assignments(model: &soc_sim::search::CostModel, count: usize) -> Vec<Vec<u8>> {
-    let per_node: Vec<Vec<u8>> = (0..model.num_nodes())
-        .map(|node| {
-            (0..model.targets().len())
-                .filter(|&t| model.is_supported(node, t))
-                .map(|t| u8::try_from(t).expect("target space fits u8"))
-                .collect()
-        })
-        .collect();
-    let mut state = 0x9e37_79b9_u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    };
-    (0..count)
-        .map(|_| {
-            per_node
-                .iter()
-                .map(|options| options[(next() % options.len() as u64) as usize])
-                .collect()
-        })
-        .collect()
-}
 
 fn bench_tune_search(c: &mut Criterion) {
     let cache = CompileCache::new();
@@ -63,34 +29,9 @@ fn bench_tune_search(c: &mut Criterion) {
         .deployment(CHIP, backend, MODEL)
         .expect("catalog submission paths compile");
     let soc = CHIP.build();
-    let model = search_model(&soc, &deployment.graph, &deployment.schedule);
-    let assigns = assignments(&model, CANDIDATES);
 
     let mut group = c.benchmark_group("tune_search");
     group.sample_size(10);
-
-    group.bench_function(BenchmarkId::new("evaluate", "k1"), |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for a in &assigns {
-                acc += model.evaluate(a).latency_secs;
-            }
-            black_box(acc)
-        });
-    });
-
-    group.bench_function(BenchmarkId::new("evaluate", "k8"), |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for chunk in assigns.chunks(MAX_LANES) {
-                let lanes: Vec<&[u8]> = chunk.iter().map(Vec::as_slice).collect();
-                for score in model.evaluate_batch(&lanes) {
-                    acc += score.latency_secs;
-                }
-            }
-            black_box(acc)
-        });
-    });
 
     for config in [TunerConfig::latency(), TunerConfig::energy()] {
         group.bench_function(BenchmarkId::new("search", config.objective.to_string()), |b| {

@@ -28,10 +28,14 @@
 //!    `1 + 1e-9` relative slack covering floating-point fold-order
 //!    differences — so pruning never drops the optimum.
 //! 3. **Rank** survivors by bound and keep the best `beam_width`.
-//! 4. **Roll out** the best survivor to a greedy completion; fresh
-//!    completions (deduped by exact assignment signature) are
-//!    batch-evaluated up to K=8 per pass ([`CostModel::evaluate_batch`])
-//!    and tighten the incumbent early.
+//! 4. **Roll out** the best survivor to a greedy completion
+//!    ([`CostModel::greedy_complete`]). Fresh completions (deduped by
+//!    exact assignment signature) are scored by [`CostModel::finish`] and
+//!    offered to the incumbent in groups of eight, tightening it early.
+//!    The incumbent moves only at a group boundary, so the group size
+//!    decides which partials the bound prunes: it is search policy, and
+//!    the golden tuning counters (`candidates`, `pruned`) are locked
+//!    under groups of eight.
 //!
 //! The incumbent is **seeded with the vendor heuristic**, so the tuner
 //! can only improve, never regress. With [`TunerConfig::exact`] (an
@@ -44,7 +48,7 @@ use nn_graph::{DataType, Graph};
 use serde::{Deserialize, Serialize};
 use soc_sim::executor::estimate_query_secs;
 use soc_sim::schedule::Schedule;
-use soc_sim::search::{active_energy_j, CostModel, SearchScore, SearchTarget, MAX_LANES};
+use soc_sim::search::{active_energy_j, CostModel, PartialAssign, SearchScore, SearchTarget};
 use soc_sim::soc::Soc;
 use std::collections::HashSet;
 use std::fmt;
@@ -55,6 +59,10 @@ use std::fmt;
 /// relative fold-order difference between the bound's suffix sum and the
 /// exact evaluator, keeping elimination provably safe.
 const PRUNE_SLACK: f64 = 1e-9;
+
+/// Scored rollouts are offered to the incumbent in groups of this many
+/// (see step 4 of the module docs).
+const ROLLOUT_GROUP: usize = 8;
 
 /// What the tuner minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -225,23 +233,18 @@ impl Incumbent {
     }
 }
 
-/// Flushes queued completions through the K=8 batched evaluator.
+/// Scores queued rollouts and offers them to the incumbent.
 fn flush_pending(
     model: &CostModel,
-    pending: &mut Vec<Vec<u8>>,
+    pending: &mut Vec<PartialAssign>,
     objective: Objective,
     incumbent: &mut Incumbent,
     stats: &mut TuneStats,
 ) {
-    for chunk in pending.chunks(MAX_LANES) {
-        let lanes: Vec<&[u8]> = chunk.iter().map(Vec::as_slice).collect();
-        let scores = model.evaluate_batch(&lanes);
-        stats.candidates += scores.len() as u64;
-        for (assign, score) in chunk.iter().zip(scores) {
-            incumbent.offer(assign, score, objective);
-        }
+    for p in pending.drain(..) {
+        stats.candidates += 1;
+        incumbent.offer(&p.assign, model.finish(&p), objective);
     }
-    pending.clear();
 }
 
 /// Tunes the schedule of `graph` on `soc`, starting from the vendor
@@ -277,16 +280,16 @@ pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig
     if let Some(h) = model.assignment_of(heuristic) {
         seen.insert(h);
     }
-    let mut pending: Vec<Vec<u8>> = Vec::new();
+    let mut pending: Vec<PartialAssign> = Vec::new();
 
-    let bound_of = |p: &soc_sim::search::PartialAssign| match objective {
+    let bound_of = |p: &PartialAssign| match objective {
         Objective::Latency => model.bound_latency(p),
         Objective::Energy => model.bound_energy(p),
     };
 
     let mut beam = vec![model.root()];
     for level in 0..n {
-        let mut next: Vec<(f64, soc_sim::search::PartialAssign)> =
+        let mut next: Vec<(f64, PartialAssign)> =
             Vec::with_capacity(beam.len().saturating_mul(t).min(4096));
         for p in &beam {
             for k in 0..t {
@@ -309,20 +312,20 @@ pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig
         }
         stats.expanded += next.len() as u64;
         // Stable sort: bound ties keep deterministic generation order.
-        next.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("bounds are finite"));
+        next.sort_by(|a, b| a.0.total_cmp(&b.0));
         if next.len() > config.beam_width {
             stats.beam_truncations += (next.len() - config.beam_width) as u64;
             next.truncate(config.beam_width);
         }
         if level + 1 < n {
             // Roll out the most promising survivor to a full candidate;
-            // fresh completions queue for the K=8 batched evaluator and
-            // tighten the incumbent (= sharper pruning) early.
+            // fresh completions queue for scoring and tighten the
+            // incumbent (= sharper pruning) early.
             let rollout =
                 model.greedy_complete(&next[0].1, objective == Objective::Energy);
             if seen.insert(rollout.assign.clone()) {
-                pending.push(rollout.assign);
-                if pending.len() >= MAX_LANES {
+                pending.push(rollout);
+                if pending.len() >= ROLLOUT_GROUP {
                     flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
                 }
             } else {

@@ -139,26 +139,6 @@ impl EngineSpec {
     pub fn supports(&self, class: OpClass, dtype: DataType) -> bool {
         self.efficiency(class) > 0.0 && self.peak_ops(dtype) > 0.0
     }
-
-    /// Roofline execution time in seconds for `flops` of work in `class`
-    /// at `dtype` moving `bytes` of memory, at a frequency factor `freq`
-    /// (1.0 = nominal, lower when thermally throttled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine does not support the class/dtype.
-    #[must_use]
-    pub fn op_time_secs(&self, class: OpClass, dtype: DataType, flops: u64, bytes: u64, freq: f64) -> f64 {
-        assert!(
-            self.supports(class, dtype),
-            "{} cannot execute {class} at {dtype}",
-            self.name
-        );
-        let compute = flops as f64 / (self.peak_ops(dtype) * self.efficiency(class) * freq);
-        // Memory bandwidth is not DVFS-scaled (DRAM is on its own rail).
-        let memory = bytes as f64 / (self.mem_bandwidth_gbps * 1e9);
-        compute.max(memory)
-    }
 }
 
 /// Builder-style helper for writing catalog entries tersely.
@@ -243,6 +223,13 @@ impl EngineSpecBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dvfs::DvfsLadder;
+    use crate::plan::{PlanOp, PlanStage, QueryPlan};
+    use crate::power::EnergyMeter;
+    use crate::soc::SocState;
+    use crate::thermal::{ThermalSpec, ThermalState};
+    use crate::time::SimDuration;
+    use nn_graph::OpCost;
 
     fn npu() -> EngineSpec {
         EngineSpecBuilder::new("test-npu", EngineKind::Npu, 1000.0, 250.0, 0.0)
@@ -272,11 +259,35 @@ mod tests {
         assert!(e.supports(OpClass::Softmax, DataType::I8));
     }
 
+    /// Roofline time (seconds, net of the per-op scheduling cost) of one
+    /// I8 op moving `bytes` of memory, lowered by [`PlanOp::lower`] and
+    /// executed as a one-op query at DVFS factor `freq`.
+    fn op_time(e: &EngineSpec, class: OpClass, flops: u64, bytes: u64, freq: f64) -> f64 {
+        // One I8 element is one byte.
+        let cost = OpCost { flops, weight_elements: bytes, ..OpCost::default() };
+        let op = PlanOp::lower(e, class, &cost, DataType::I8);
+        let plan = QueryPlan {
+            ops: vec![op],
+            stages: vec![PlanStage { ops_end: 1, engine: EngineId(0), power_w: e.active_power_w }],
+            transfer: SimDuration::ZERO,
+            overhead: SimDuration::ZERO,
+            launch: SimDuration::ZERO,
+            sync: SimDuration::ZERO,
+        };
+        let mut state = SocState {
+            thermal: ThermalState::new(ThermalSpec::default(), 22.0),
+            energy: EnergyMeter::new(0.0),
+            battery: None,
+            dvfs: DvfsLadder::new(vec![freq]),
+        };
+        plan.execute(&mut state).breakdown.stage_compute[0].as_secs_f64() - op.sched_secs
+    }
+
     #[test]
     fn compute_bound_op_time() {
         let e = npu();
         // 1e9 flops at 1e12 ops * 0.5 eff = 2 ms; tiny memory traffic.
-        let t = e.op_time_secs(OpClass::Conv, DataType::I8, 1_000_000_000, 1000, 1.0);
+        let t = op_time(&e, OpClass::Conv, 1_000_000_000, 1000, 1.0);
         assert!((t - 0.002).abs() < 1e-9, "t = {t}");
     }
 
@@ -284,26 +295,19 @@ mod tests {
     fn memory_bound_op_time() {
         let e = npu();
         // Tiny flops, 20 MB of traffic at 20 GB/s = 1 ms.
-        let t = e.op_time_secs(OpClass::DepthwiseConv, DataType::I8, 1000, 20_000_000, 1.0);
+        let t = op_time(&e, OpClass::DepthwiseConv, 1000, 20_000_000, 1.0);
         assert!((t - 0.001).abs() < 1e-9, "t = {t}");
     }
 
     #[test]
     fn throttling_slows_compute_not_memory() {
         let e = npu();
-        let full = e.op_time_secs(OpClass::Conv, DataType::I8, 1_000_000_000, 0, 1.0);
-        let half = e.op_time_secs(OpClass::Conv, DataType::I8, 1_000_000_000, 0, 0.5);
+        let full = op_time(&e, OpClass::Conv, 1_000_000_000, 0, 1.0);
+        let half = op_time(&e, OpClass::Conv, 1_000_000_000, 0, 0.5);
         assert!((half - full * 2.0).abs() < 1e-9);
-        let mem_full = e.op_time_secs(OpClass::Conv, DataType::I8, 0, 20_000_000, 1.0);
-        let mem_half = e.op_time_secs(OpClass::Conv, DataType::I8, 0, 20_000_000, 0.5);
+        let mem_full = op_time(&e, OpClass::Conv, 0, 20_000_000, 1.0);
+        let mem_half = op_time(&e, OpClass::Conv, 0, 20_000_000, 0.5);
         assert_eq!(mem_full, mem_half);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot execute")]
-    fn unsupported_class_panics() {
-        let e = npu();
-        let _ = e.op_time_secs(OpClass::Nms, DataType::I8, 100, 100, 1.0);
     }
 
     #[test]

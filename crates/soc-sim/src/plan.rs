@@ -13,14 +13,35 @@
 //! - [`QueryPlan`] for single-stream queries ([`crate::executor::run_query`]),
 //! - [`OfflinePlan`] for batched multi-stream runs
 //!   ([`crate::executor::run_offline`]).
+//!
+//! # One lowering
+//!
+//! Every evaluator reads the same two pieces of roofline arithmetic:
+//! - `PlanOp::lower` derives one op's terms (`flops`, `denom`,
+//!   `memory_secs`, `sched_secs`) on an `(engine, dtype)`. It is the only
+//!   code that reads an engine's peak rate, efficiency, bandwidth and
+//!   per-op cost.
+//! - `StageOverheads` is the per-stage table of query, launch, sync and
+//!   transfer overheads, and its `fold` sums them, optionally under a
+//!   [`PlanDelta`].
+//!
+//! [`QueryPlan::new`], [`StreamPlan::lower`] and [`SweepPlan`] read both.
+//! [`crate::search::CostModel`] takes its per-op terms from
+//! `PlanOp::lower`; its incremental extension is the only other form of
+//! the overhead fold. [`crate::search::active_energy_j`] reads the energy
+//! sum `StreamPlan::lower` folds. None keeps roofline arithmetic of its
+//! own, so they agree bit for bit by construction. Each keeps its own
+//! operand order: `flops / (denom * freq)` on the single-stream path,
+//! pre-divided `flops / denom` for the estimator and the search cost
+//! model.
 
-use crate::engine::EngineId;
+use crate::engine::{EngineId, EngineSpec};
 use crate::executor::{OfflineResult, QueryBreakdown, QueryResult};
 use crate::plan_batch::BatchPlan;
 use crate::schedule::Schedule;
-use crate::soc::{Soc, SocState};
+use crate::soc::{InterconnectSpec, Soc, SocState};
 use crate::time::SimDuration;
-use nn_graph::Graph;
+use nn_graph::{DataType, Graph, OpClass, OpCost};
 use std::sync::Arc;
 
 /// One lowered graph node: everything the roofline model needs, with all
@@ -34,10 +55,47 @@ pub(crate) struct PlanOp {
     /// loop divides by `denom * freq` so the operand order matches the
     /// unplanned executor bit-for-bit.
     pub(crate) denom: f64,
-    /// Memory-bound time (seconds) — frequency-independent.
+    /// Memory-bound time (seconds) — frequency-independent: DRAM is on
+    /// its own rail, so DVFS does not scale it.
     pub(crate) memory_secs: f64,
     /// Per-op scheduling cost (seconds) — frequency-independent.
     pub(crate) sched_secs: f64,
+}
+
+impl PlanOp {
+    /// Lowers an op of `class` costing `cost` onto `engine` at `dtype`.
+    /// Unsupported placements are not rejected here: a zero `denom`
+    /// yields an infinite compute term.
+    pub(crate) fn lower(
+        engine: &EngineSpec,
+        class: OpClass,
+        cost: &OpCost,
+        dtype: DataType,
+    ) -> Self {
+        PlanOp {
+            flops: cost.flops as f64,
+            denom: engine.peak_ops(dtype) * engine.efficiency(class),
+            memory_secs: cost.total_bytes(dtype) as f64 / (engine.mem_bandwidth_gbps * 1e9),
+            sched_secs: engine.per_op_overhead_us * 1e-6,
+        }
+    }
+
+    /// Compute time at full frequency, pre-divided as `flops / denom`
+    /// (0.0 for memory-only ops): the estimator's operand order, which
+    /// rounds differently from the single-stream `flops / (denom * freq)`.
+    fn compute_secs(&self) -> f64 {
+        if self.flops == 0.0 {
+            0.0
+        } else {
+            self.flops / self.denom
+        }
+    }
+
+    /// Roofline time at full frequency in the estimator's operand order:
+    /// `compute.max(memory) + sched`.
+    pub(crate) fn nominal_secs(&self) -> f64 {
+        self.compute_secs().max(self.memory_secs) + self.sched_secs
+    }
 }
 
 /// One lowered stage: a half-open op range plus the engine-level terms.
@@ -118,6 +176,8 @@ impl QueryPlan {
         schedule
             .validate(graph)
             .unwrap_or_else(|e| panic!("invalid schedule for {}: {e}", graph.name()));
+        let mut ops = Vec::with_capacity(graph.len());
+        let mut stages = Vec::with_capacity(schedule.stages.len());
         for stage in &schedule.stages {
             let engine = soc.engine(stage.engine);
             for &nid in &stage.nodes {
@@ -132,42 +192,7 @@ impl QueryPlan {
                         stage.dtype
                     );
                 }
-            }
-        }
-
-        let cross_bytes = schedule.cross_engine_bytes(graph);
-        let mut ops = Vec::with_capacity(graph.len());
-        let mut stages = Vec::with_capacity(schedule.stages.len());
-        let mut transfer = 0.0f64;
-        let mut overhead = 0.0f64;
-        let mut launch_secs = 0.0f64;
-        let mut sync_secs = 0.0f64;
-
-        let mut launched: Vec<bool> = vec![false; soc.engines.len()];
-        overhead += schedule.query_overhead_us * 1e-6;
-        for (si, stage) in schedule.stages.iter().enumerate() {
-            let engine = soc.engine(stage.engine);
-            // Launch (runtime init) is paid once per engine per query; the
-            // per-stage framework synchronization on every partition.
-            if !launched[stage.engine.0] {
-                overhead += engine.launch_overhead_us * 1e-6;
-                launch_secs += engine.launch_overhead_us * 1e-6;
-                launched[stage.engine.0] = true;
-            }
-            overhead += stage.sync_overhead_us * 1e-6;
-            sync_secs += stage.sync_overhead_us * 1e-6;
-            if cross_bytes[si] > 0 {
-                transfer += soc.interconnect.transfer_secs(cross_bytes[si]);
-            }
-            for &nid in &stage.nodes {
-                let node = graph.node(nid);
-                ops.push(PlanOp {
-                    flops: node.cost.flops as f64,
-                    denom: engine.peak_ops(stage.dtype) * engine.efficiency(node.class()),
-                    memory_secs: node.cost.total_bytes(stage.dtype) as f64
-                        / (engine.mem_bandwidth_gbps * 1e9),
-                    sched_secs: engine.per_op_overhead_us * 1e-6,
-                });
+                ops.push(PlanOp::lower(engine, node.class(), &node.cost, stage.dtype));
             }
             stages.push(PlanStage {
                 ops_end: ops.len(),
@@ -176,13 +201,15 @@ impl QueryPlan {
             });
         }
 
+        let (transfer, overhead, launch, sync) =
+            StageOverheads::new(soc, graph, schedule).fold(None);
         QueryPlan {
             ops,
             stages,
             transfer: SimDuration::from_secs_f64(transfer),
             overhead: SimDuration::from_secs_f64(overhead),
-            launch: SimDuration::from_secs_f64(launch_secs),
-            sync: SimDuration::from_secs_f64(sync_secs),
+            launch: SimDuration::from_secs_f64(launch),
+            sync: SimDuration::from_secs_f64(sync),
         }
     }
 
@@ -439,6 +466,9 @@ pub struct StreamPlan {
     transfer_secs: f64,
     /// Mean active power of the engines this stream occupies (watts).
     power_w: f64,
+    /// Active compute energy of one sample at full frequency (joules):
+    /// `Σ active_power_w · stage_time`, the numerator of `power_w`.
+    pub(crate) energy_j: f64,
 }
 
 impl StreamPlan {
@@ -448,45 +478,25 @@ impl StreamPlan {
     /// including bad ones).
     #[must_use]
     pub fn lower(soc: &Soc, graph: &Graph, schedule: &Schedule) -> Self {
-        let cross_bytes = schedule.cross_engine_bytes(graph);
+        let (transfer_secs, overhead_secs, _, _) =
+            StageOverheads::new(soc, graph, schedule).fold(None);
         let mut ops = Vec::with_capacity(graph.len());
-        let mut overhead_secs = 0.0;
-        let mut transfer_secs = 0.0;
-        let mut power_time = 0.0;
+        let mut energy_j = 0.0;
         let mut total_time = 0.0;
-
-        let mut launched: Vec<bool> = vec![false; soc.engines.len()];
-        overhead_secs += schedule.query_overhead_us * 1e-6;
-        for (si, stage) in schedule.stages.iter().enumerate() {
+        for stage in &schedule.stages {
             let engine = soc.engine(stage.engine);
-            if !launched[stage.engine.0] {
-                overhead_secs += engine.launch_overhead_us * 1e-6;
-                launched[stage.engine.0] = true;
-            }
-            overhead_secs += stage.sync_overhead_us * 1e-6;
-            if cross_bytes[si] > 0 {
-                transfer_secs += soc.interconnect.transfer_secs(cross_bytes[si]);
-            }
             let mut stage_time = 0.0;
             for &nid in &stage.nodes {
                 let node = graph.node(nid);
-                let compute = if node.cost.flops == 0 {
-                    0.0
-                } else {
-                    node.cost.flops as f64
-                        / (engine.peak_ops(stage.dtype) * engine.efficiency(node.class()))
-                };
-                let memory = node.cost.total_bytes(stage.dtype) as f64
-                    / (engine.mem_bandwidth_gbps * 1e9);
-                // Per-op scheduling cost is frequency-independent.
-                ops.push((compute, memory, engine.per_op_overhead_us * 1e-6));
-                stage_time += compute.max(memory) + engine.per_op_overhead_us * 1e-6;
+                let op = PlanOp::lower(engine, node.class(), &node.cost, stage.dtype);
+                ops.push((op.compute_secs(), op.memory_secs, op.sched_secs));
+                stage_time += op.nominal_secs();
             }
-            power_time += engine.active_power_w * stage_time;
+            energy_j += engine.active_power_w * stage_time;
             total_time += stage_time;
         }
-        let power_w = if total_time > 0.0 { power_time / total_time } else { 0.0 };
-        StreamPlan { ops, overhead_secs, transfer_secs, power_w }
+        let power_w = if total_time > 0.0 { energy_j / total_time } else { 0.0 };
+        StreamPlan { ops, overhead_secs, transfer_secs, power_w, energy_j }
     }
 
     /// Seconds per sample at DVFS factor `freq` with overheads amortized
@@ -590,29 +600,12 @@ pub enum PlanDelta {
     InterconnectGbps(f64),
 }
 
-/// A `(soc, graph, schedule)` triple lowered once, with enough of the
-/// lowering inputs cached that any [`PlanDelta`] re-lowers in O(stages).
-///
-/// # Bit-identity contract
-///
-/// [`SweepPlan::relower_query`] (resp. [`relower_stream`]) returns a plan
-/// bit-identical — every `f64`, 0 ULPs — to a fresh [`QueryPlan::new`]
-/// (resp. [`StreamPlan::lower`]) against the knob-modified schedule or
-/// SoC. The re-lowering replays the original accumulation loops (query
-/// overhead, then per stage: first-launch overhead, sync, transfer) with
-/// identical operand order; only the swept scalar changes.
-/// `tests/plan_equivalence.rs` fuzzes this over random graphs, schedules
-/// and knob values.
-///
-/// [`relower_stream`]: Self::relower_stream
+/// The per-stage overhead table of one `(soc, graph, schedule)` triple:
+/// everything the query, launch, sync and transfer overheads are folded
+/// from. Every plan kind builds one; [`SweepPlan`] keeps it so any
+/// [`PlanDelta`] re-folds in O(stages).
 #[derive(Debug, Clone)]
-pub struct SweepPlan {
-    /// Fully-lowered baseline single-stream plan, shared (`Arc`) so
-    /// batch re-lowerings hand their lanes the op arrays without
-    /// copying them.
-    query: Arc<QueryPlan>,
-    /// Fully-lowered baseline estimator profile.
-    stream: StreamPlan,
+struct StageOverheads {
     /// The schedule-wide per-query overhead knob (µs).
     query_overhead_us: f64,
     /// Per stage: runtime-launch overhead charged at this stage (µs);
@@ -625,11 +618,100 @@ pub struct SweepPlan {
     /// Per stage: bytes crossing the interconnect *into* this stage.
     cross_bytes: Vec<u64>,
     /// The SoC's interconnect (bandwidth knob + fixed handoff latency).
-    interconnect: crate::soc::InterconnectSpec,
+    interconnect: InterconnectSpec,
+}
+
+impl StageOverheads {
+    fn new(soc: &Soc, graph: &Graph, schedule: &Schedule) -> Self {
+        // Launch (runtime init) is paid once per engine per query; the
+        // framework synchronization on every partition.
+        let mut launched: Vec<bool> = vec![false; soc.engines.len()];
+        let launch_us = schedule
+            .stages
+            .iter()
+            .map(|stage| {
+                if launched[stage.engine.0] {
+                    0.0
+                } else {
+                    launched[stage.engine.0] = true;
+                    soc.engine(stage.engine).launch_overhead_us
+                }
+            })
+            .collect();
+        StageOverheads {
+            query_overhead_us: schedule.query_overhead_us,
+            launch_us,
+            sync_us: schedule.stages.iter().map(|s| s.sync_overhead_us).collect(),
+            cross_bytes: schedule.cross_engine_bytes(graph),
+            interconnect: soc.interconnect,
+        }
+    }
+
+    /// Folds the table, with `delta` applied when given. Returns
+    /// `(transfer, overhead, launch, sync)` in seconds, summed in the
+    /// executor's historical order: query overhead, then per stage
+    /// first-launch overhead, sync, transfer.
+    fn fold(&self, delta: Option<PlanDelta>) -> (f64, f64, f64, f64) {
+        let query_overhead_us = match delta {
+            Some(PlanDelta::QueryOverheadUs(v)) => v,
+            _ => self.query_overhead_us,
+        };
+        let interconnect = match delta {
+            Some(PlanDelta::InterconnectGbps(v)) => InterconnectSpec {
+                transfer_gbps: v,
+                handoff_latency_us: self.interconnect.handoff_latency_us,
+            },
+            _ => self.interconnect,
+        };
+        let mut transfer = 0.0f64;
+        let mut overhead = 0.0f64;
+        let mut launch_secs = 0.0f64;
+        let mut sync_secs = 0.0f64;
+        overhead += query_overhead_us * 1e-6;
+        for si in 0..self.sync_us.len() {
+            let sync_us = match delta {
+                Some(PlanDelta::SyncOverheadUs(v)) => v,
+                _ => self.sync_us[si],
+            };
+            overhead += self.launch_us[si] * 1e-6;
+            launch_secs += self.launch_us[si] * 1e-6;
+            overhead += sync_us * 1e-6;
+            sync_secs += sync_us * 1e-6;
+            if self.cross_bytes[si] > 0 {
+                transfer += interconnect.transfer_secs(self.cross_bytes[si]);
+            }
+        }
+        (transfer, overhead, launch_secs, sync_secs)
+    }
+}
+
+/// A `(soc, graph, schedule)` triple lowered once, with its per-stage
+/// overhead table kept so any [`PlanDelta`] re-lowers in O(stages).
+///
+/// # Bit-identity contract
+///
+/// [`SweepPlan::relower_query`] (resp. [`relower_stream`]) returns a plan
+/// bit-identical — every `f64`, 0 ULPs — to a fresh [`QueryPlan::new`]
+/// (resp. [`StreamPlan::lower`]) against the knob-modified schedule or
+/// SoC: both fold the same overhead table, and only the swept scalar
+/// changes. `tests/plan_equivalence.rs` fuzzes this over random graphs,
+/// schedules and knob values.
+///
+/// [`relower_stream`]: Self::relower_stream
+#[derive(Debug, Clone)]
+pub struct SweepPlan {
+    /// Fully-lowered baseline single-stream plan, shared (`Arc`) so
+    /// batch re-lowerings hand their lanes the op arrays without
+    /// copying them.
+    query: Arc<QueryPlan>,
+    /// Fully-lowered baseline estimator profile.
+    stream: StreamPlan,
+    /// The overhead table every re-lowering re-folds.
+    overheads: StageOverheads,
 }
 
 impl SweepPlan {
-    /// Lowers the triple once, caching the per-stage lowering inputs.
+    /// Lowers the triple once, keeping its overhead table.
     ///
     /// # Panics
     ///
@@ -637,30 +719,10 @@ impl SweepPlan {
     /// or an unsupported placement.
     #[must_use]
     pub fn new(soc: &Soc, graph: &Graph, schedule: &Schedule) -> Self {
-        let query = Arc::new(QueryPlan::new(soc, graph, schedule));
-        let stream = StreamPlan::lower(soc, graph, schedule);
-        let cross_bytes = schedule.cross_engine_bytes(graph);
-        let mut launched: Vec<bool> = vec![false; soc.engines.len()];
-        let mut launch_us = Vec::with_capacity(schedule.stages.len());
-        let mut sync_us = Vec::with_capacity(schedule.stages.len());
-        for stage in &schedule.stages {
-            let engine = soc.engine(stage.engine);
-            launch_us.push(if launched[stage.engine.0] {
-                0.0
-            } else {
-                launched[stage.engine.0] = true;
-                engine.launch_overhead_us
-            });
-            sync_us.push(stage.sync_overhead_us);
-        }
         SweepPlan {
-            query,
-            stream,
-            query_overhead_us: schedule.query_overhead_us,
-            launch_us,
-            sync_us,
-            cross_bytes,
-            interconnect: soc.interconnect,
+            query: Arc::new(QueryPlan::new(soc, graph, schedule)),
+            stream: StreamPlan::lower(soc, graph, schedule),
+            overheads: StageOverheads::new(soc, graph, schedule),
         }
     }
 
@@ -682,43 +744,7 @@ impl SweepPlan {
     /// modelling *additional* per-query load pass `base + extra`.
     #[must_use]
     pub fn query_overhead_us(&self) -> f64 {
-        self.query_overhead_us
-    }
-
-    /// Replays the overhead/transfer accumulation with `delta` applied.
-    /// Returns `(transfer, overhead, launch, sync)` in seconds, summed in
-    /// the exact order [`QueryPlan::new`] and [`StreamPlan::lower`] use.
-    fn relower_overheads(&self, delta: PlanDelta) -> (f64, f64, f64, f64) {
-        let query_overhead_us = match delta {
-            PlanDelta::QueryOverheadUs(v) => v,
-            _ => self.query_overhead_us,
-        };
-        let interconnect = match delta {
-            PlanDelta::InterconnectGbps(v) => crate::soc::InterconnectSpec {
-                transfer_gbps: v,
-                handoff_latency_us: self.interconnect.handoff_latency_us,
-            },
-            _ => self.interconnect,
-        };
-        let mut transfer = 0.0f64;
-        let mut overhead = 0.0f64;
-        let mut launch_secs = 0.0f64;
-        let mut sync_secs = 0.0f64;
-        overhead += query_overhead_us * 1e-6;
-        for si in 0..self.sync_us.len() {
-            let sync_us = match delta {
-                PlanDelta::SyncOverheadUs(v) => v,
-                _ => self.sync_us[si],
-            };
-            overhead += self.launch_us[si] * 1e-6;
-            launch_secs += self.launch_us[si] * 1e-6;
-            overhead += sync_us * 1e-6;
-            sync_secs += sync_us * 1e-6;
-            if self.cross_bytes[si] > 0 {
-                transfer += interconnect.transfer_secs(self.cross_bytes[si]);
-            }
-        }
-        (transfer, overhead, launch_secs, sync_secs)
+        self.overheads.query_overhead_us
     }
 
     /// Re-lowers the single-stream plan under `delta` — O(stages), no
@@ -726,7 +752,7 @@ impl SweepPlan {
     /// [`QueryPlan::new`] against the knob-modified inputs.
     #[must_use]
     pub fn relower_query(&self, delta: PlanDelta) -> QueryPlan {
-        let (transfer, overhead, launch_secs, sync_secs) = self.relower_overheads(delta);
+        let (transfer, overhead, launch_secs, sync_secs) = self.overheads.fold(Some(delta));
         QueryPlan {
             ops: self.query.ops.clone(),
             stages: self.query.stages.clone(),
@@ -741,13 +767,8 @@ impl SweepPlan {
     /// analogue of [`Self::relower_query`].
     #[must_use]
     pub fn relower_stream(&self, delta: PlanDelta) -> StreamPlan {
-        let (transfer_secs, overhead_secs, _, _) = self.relower_overheads(delta);
-        StreamPlan {
-            ops: self.stream.ops.clone(),
-            overhead_secs,
-            transfer_secs,
-            power_w: self.stream.power_w,
-        }
+        let (transfer_secs, overhead_secs, _, _) = self.overheads.fold(Some(delta));
+        StreamPlan { overhead_secs, transfer_secs, ..self.stream.clone() }
     }
 
     /// [`crate::executor::estimate_query_secs`] under `delta`: the
@@ -779,7 +800,7 @@ impl SweepPlan {
         let mut launch = Vec::with_capacity(deltas.len());
         let mut sync = Vec::with_capacity(deltas.len());
         for &delta in deltas {
-            let (t, o, l, s) = self.relower_overheads(delta);
+            let (t, o, l, s) = self.overheads.fold(Some(delta));
             transfer.push(SimDuration::from_secs_f64(t));
             overhead.push(SimDuration::from_secs_f64(o));
             launch.push(SimDuration::from_secs_f64(l));
@@ -804,7 +825,7 @@ impl SweepPlan {
         batch.refill_lanes(
             &self.query,
             deltas.iter().map(|&delta| {
-                let (t, o, l, s) = self.relower_overheads(delta);
+                let (t, o, l, s) = self.overheads.fold(Some(delta));
                 (
                     SimDuration::from_secs_f64(t),
                     SimDuration::from_secs_f64(o),

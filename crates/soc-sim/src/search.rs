@@ -7,8 +7,9 @@
 //! the *evaluation substrate* for that search:
 //!
 //! - [`CostModel`] pre-computes, once per (soc, graph, target-set), every
-//!   per-(node, target) roofline term that [`StreamPlan::lower`] would
-//!   derive — so candidate schedules are costed without re-lowering.
+//!   per-(node, target) roofline term from the same per-op lowering
+//!   [`StreamPlan::lower`] reads — so candidate schedules are costed
+//!   without re-lowering.
 //! - [`PartialAssign`] is an incrementally-extended prefix assignment
 //!   whose accumulators reproduce `StreamPlan::lower` +
 //!   [`StreamPlan::sample_secs`]`(1.0, 1)` **bit-exactly** when the
@@ -18,29 +19,19 @@
 //! - [`CostModel::bound_latency`] / [`CostModel::bound_energy`] give an
 //!   admissible lower bound (committed exact cost + best-case roofline
 //!   suffix) used to prune partials that cannot beat the incumbent.
-//! - [`CostModel::evaluate_batch`] scores up to [`MAX_LANES`] complete
-//!   assignments per pass, node-major over the lanes, with per-lane
-//!   arithmetic identical to the scalar path (bit-equal results).
 //! - [`active_energy_j`] is the canonical energy objective: the active
-//!   compute energy at nominal frequency — exactly the `power_time`
-//!   numerator accumulated by `StreamPlan::lower` for
+//!   compute energy at nominal frequency — the energy sum
+//!   `StreamPlan::lower` folds as the numerator of
 //!   [`StreamPlan::power_w`]. Launch/sync/transfer overheads draw
 //!   platform idle power in the thermal model and are excluded here.
-//!
-//! [`StreamPlan::lower`]: crate::plan::StreamPlan::lower
-//! [`StreamPlan::sample_secs`]: crate::plan::StreamPlan::sample_secs
-//! [`StreamPlan::power_w`]: crate::plan::StreamPlan::power_w
 
 use crate::engine::EngineId;
+use crate::plan::{PlanOp, StreamPlan};
 use crate::schedule::{Schedule, Stage};
 use crate::soc::{InterconnectSpec, Soc};
 use nn_graph::graph::{Graph, NodeId};
 use nn_graph::DataType;
 use serde::{Deserialize, Serialize};
-
-/// Maximum number of assignment lanes per [`CostModel::evaluate_batch`]
-/// pass — matches the SoA lane width of `plan_batch`.
-pub const MAX_LANES: usize = 8;
 
 /// One point of the per-op assignment space: run an op on `engine` at
 /// `dtype`. The tuner derives the legal target set from the vendor
@@ -194,17 +185,9 @@ impl CostModel {
                 if !ok {
                     continue;
                 }
-                // Exactly the arithmetic of `StreamPlan::lower`, term by
-                // term: same operands, same operation order.
-                let compute = if node.cost.flops == 0 {
-                    0.0
-                } else {
-                    node.cost.flops as f64
-                        / (engine.peak_ops(tgt.dtype) * engine.efficiency(node.class()))
-                };
-                let memory =
-                    node.cost.total_bytes(tgt.dtype) as f64 / (engine.mem_bandwidth_gbps * 1e9);
-                let v = compute.max(memory) + engine.per_op_overhead_us * 1e-6;
+                // `StreamPlan::lower` adds this same term to its stage
+                // time, so completed scores are bit-equal to the estimator.
+                let v = PlanOp::lower(engine, node.class(), &node.cost, tgt.dtype).nominal_secs();
                 term[i * t + k] = v;
                 supported[i * t + k] = true;
                 if v < best_term[i] {
@@ -439,8 +422,8 @@ impl CostModel {
         q
     }
 
-    /// Scores one complete assignment through the scalar incremental
-    /// path (the K=1 baseline the batched evaluator is compared against).
+    /// Scores one complete assignment: extends the root node by node,
+    /// then [`Self::finish`]es it.
     #[must_use]
     pub fn evaluate(&self, assign: &[u8]) -> SearchScore {
         let mut p = self.root();
@@ -448,106 +431,6 @@ impl CostModel {
             self.extend_in_place(&mut p, k);
         }
         self.finish(&p)
-    }
-
-    /// Scores up to [`MAX_LANES`] complete assignments per pass,
-    /// node-major across the lanes so the per-node cost-table row and
-    /// adjacency list are fetched once for all lanes. Lane state lives
-    /// in fixed struct-of-arrays accumulators — no per-lane
-    /// [`PartialAssign`] vectors to grow, no heap traffic in the walk —
-    /// which is what makes the K=8 pass faster than eight scalar
-    /// [`CostModel::evaluate`] calls. Per-lane arithmetic is identical
-    /// to the scalar path (same operands, same operation order), so
-    /// results are bit-equal lane by lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`MAX_LANES`] lanes are passed or a lane's
-    /// length differs from the node count.
-    #[must_use]
-    #[allow(clippy::too_many_lines)]
-    pub fn evaluate_batch(&self, lanes: &[&[u8]]) -> Vec<SearchScore> {
-        assert!(lanes.len() <= MAX_LANES, "at most {MAX_LANES} lanes per pass");
-        for lane in lanes {
-            assert_eq!(lane.len(), self.num_nodes, "lane length != node count");
-        }
-        let n = self.num_nodes;
-        let t = self.targets.len();
-        // Per-lane accumulators, mirroring `PartialAssign` field by
-        // field. `u8::MAX` marks "no open stage" (target sets are ≤ 32).
-        let mut ops_sum = [0.0f64; MAX_LANES];
-        let mut transfer = [0.0f64; MAX_LANES];
-        let mut overhead = [0.0f64; MAX_LANES];
-        let mut stage_time = [0.0f64; MAX_LANES];
-        let mut energy = [0.0f64; MAX_LANES];
-        let mut open_bytes = [0u64; MAX_LANES];
-        let mut launched = [0u64; MAX_LANES];
-        let mut cur_target = [u8::MAX; MAX_LANES];
-        let mut stage_count = [0u32; MAX_LANES];
-        overhead[..lanes.len()].fill(self.query_secs);
-        // Flat (lane, node) → stage index and (lane, stage) → target
-        // tables; stages never outnumber nodes.
-        let mut stage_of = vec![0u32; lanes.len() * n];
-        let mut stage_target = vec![0u8; lanes.len() * n];
-        for i in 0..n {
-            let row = i * t;
-            let inputs = &self.inputs[i];
-            for (l, lane) in lanes.iter().enumerate() {
-                let k = lane[i];
-                debug_assert!(self.supported[row + k as usize]);
-                if cur_target[l] != k {
-                    // Close the open stage (energy + transfer commit)…
-                    if cur_target[l] != u8::MAX {
-                        energy[l] += self.power_w[cur_target[l] as usize] * stage_time[l];
-                        if open_bytes[l] > 0 {
-                            transfer[l] += self.interconnect.transfer_secs(open_bytes[l]);
-                        }
-                        stage_time[l] = 0.0;
-                        open_bytes[l] = 0;
-                    }
-                    // …and open a new one: launch-if-first-use, then sync.
-                    stage_target[l * n + stage_count[l] as usize] = k;
-                    stage_count[l] += 1;
-                    let e = self.engine_of[k as usize];
-                    if launched[l] & (1 << e) == 0 {
-                        launched[l] |= 1 << e;
-                        overhead[l] += self.launch_secs[e];
-                    }
-                    overhead[l] += self.sync_secs;
-                    cur_target[l] = k;
-                }
-                let si = stage_count[l] - 1;
-                stage_of[l * n + i] = si;
-                let term = self.term[row + k as usize];
-                ops_sum[l] += term;
-                stage_time[l] += term;
-                let my_engine = self.engine_of[k as usize];
-                for &u in inputs {
-                    let ps = stage_of[l * n + u as usize];
-                    if ps != si {
-                        let pt = stage_target[l * n + ps as usize];
-                        if self.engine_of[pt as usize] != my_engine {
-                            open_bytes[l] += self.out_bytes[u as usize * t + pt as usize];
-                        }
-                    }
-                }
-            }
-        }
-        (0..lanes.len())
-            .map(|l| {
-                // Same close-out as `finish`: the open stage's energy and
-                // transfer, then the `sample_secs(1.0, 1)` fold order.
-                let mut tr = transfer[l];
-                let mut en = energy[l];
-                if cur_target[l] != u8::MAX {
-                    en += self.power_w[cur_target[l] as usize] * stage_time[l];
-                    if open_bytes[l] > 0 {
-                        tr += self.interconnect.transfer_secs(open_bytes[l]);
-                    }
-                }
-                SearchScore { latency_secs: (ops_sum[l] + tr) + overhead[l], energy_j: en }
-            })
-            .collect()
     }
 
     /// Materializes the [`Schedule`] induced by a complete assignment:
@@ -601,13 +484,10 @@ impl CostModel {
 
 /// Active compute energy of one query in joules, at nominal frequency:
 /// the `Σ engine.active_power_w · stage_time` numerator that
-/// `StreamPlan::lower` folds for [`StreamPlan::power_w`], replicated
-/// term-for-term. Launch/sync/transfer intervals draw platform idle
-/// power in the thermal model and are excluded — this is the energy the
-/// *placement* controls, which is what the tuner's energy objective
-/// optimizes.
-///
-/// [`StreamPlan::power_w`]: crate::plan::StreamPlan::power_w
+/// `StreamPlan::lower` folds for [`StreamPlan::power_w`]. Launch/sync/
+/// transfer intervals draw platform idle power in the thermal model and
+/// are excluded — this is the energy the *placement* controls, which is
+/// what the tuner's energy objective optimizes.
 ///
 /// # Panics
 ///
@@ -617,25 +497,7 @@ pub fn active_energy_j(soc: &Soc, graph: &Graph, schedule: &Schedule) -> f64 {
     schedule
         .validate(graph)
         .unwrap_or_else(|e| panic!("invalid schedule for {}: {e}", graph.name()));
-    let mut power_time = 0.0;
-    for stage in &schedule.stages {
-        let engine = &soc.engines[stage.engine.0];
-        let mut stage_time = 0.0;
-        for &nid in &stage.nodes {
-            let node = graph.node(nid);
-            let compute = if node.cost.flops == 0 {
-                0.0
-            } else {
-                node.cost.flops as f64
-                    / (engine.peak_ops(stage.dtype) * engine.efficiency(node.class()))
-            };
-            let memory =
-                node.cost.total_bytes(stage.dtype) as f64 / (engine.mem_bandwidth_gbps * 1e9);
-            stage_time += compute.max(memory) + engine.per_op_overhead_us * 1e-6;
-        }
-        power_time += engine.active_power_w * stage_time;
-    }
-    power_time
+    StreamPlan::lower(soc, graph, schedule).energy_j
 }
 
 #[cfg(test)]
@@ -692,20 +554,6 @@ mod tests {
             let canon_j = active_energy_j(&soc, &graph, &schedule);
             assert_eq!(score.latency_secs.to_bits(), canon_lat.to_bits(), "latency ULP drift");
             assert_eq!(score.energy_j.to_bits(), canon_j.to_bits(), "energy ULP drift");
-        }
-    }
-
-    #[test]
-    fn batch_matches_scalar_bit_exactly() {
-        let (soc, graph, targets) = setup();
-        let model = CostModel::new(&soc, &graph, &targets, 10.0, 190.0);
-        let assigns = random_assignments(&model, MAX_LANES, 0xfeed_f00d);
-        let lanes: Vec<&[u8]> = assigns.iter().map(Vec::as_slice).collect();
-        let batch = model.evaluate_batch(&lanes);
-        for (lane, got) in assigns.iter().zip(&batch) {
-            let want = model.evaluate(lane);
-            assert_eq!(got.latency_secs.to_bits(), want.latency_secs.to_bits());
-            assert_eq!(got.energy_j.to_bits(), want.energy_j.to_bits());
         }
     }
 

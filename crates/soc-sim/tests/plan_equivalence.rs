@@ -3,9 +3,11 @@
 //! graph traversal, across random graphs, schedules, frequency factors and
 //! thermal states.
 //!
-//! The reference here is a *legacy oracle*: a verbatim reimplementation of
-//! the pre-plan `run_query` arithmetic (same operand order, same addition
-//! order) written against the public simulator API. Any drift in the plan
+//! The references here are *legacy oracles*: verbatim reimplementations of
+//! the pre-plan `run_query` arithmetic and of the estimator lowering
+//! behind `estimate_query_secs`, `StreamPlan` and `active_energy_j` (same
+//! operand order, same addition order), written against the public
+//! simulator API. Any drift in the plan
 //! lowering — reordered sums, refactored operand grouping, cached terms
 //! rounded differently — trips these tests even if it would survive the
 //! coarser integration suites.
@@ -15,9 +17,10 @@ use nn_graph::graph::retype;
 use nn_graph::{Activation, DataType, Graph, Shape};
 use proptest::prelude::*;
 use soc_sim::engine::{EngineId, EngineKind, EngineSpecBuilder};
-use soc_sim::executor::{run_offline, run_query, QueryResult};
+use soc_sim::executor::{estimate_query_secs, run_offline, run_query, QueryResult};
 use soc_sim::plan::{ExecMemo, OfflinePlan, PlanDelta, QueryPlan, StreamPlan, SweepPlan};
 use soc_sim::schedule::{Schedule, Stage};
+use soc_sim::search::active_energy_j;
 use soc_sim::soc::{InterconnectSpec, Soc, SocState};
 use soc_sim::thermal::ThermalSpec;
 use soc_sim::time::SimDuration;
@@ -195,6 +198,73 @@ fn legacy_run_query(
     }
 }
 
+/// The pre-unification estimator profile: what `StreamPlan::lower` and
+/// `active_energy_j` computed, kept apart from the simulator's code.
+struct LegacyStream {
+    /// `(compute_secs_at_full_freq, memory_secs, scheduling_secs)` per op.
+    ops: Vec<(f64, f64, f64)>,
+    overhead_secs: f64,
+    transfer_secs: f64,
+    power_w: f64,
+    energy_j: f64,
+}
+
+impl LegacyStream {
+    /// The historical `StreamPlan::sample_secs`, verbatim.
+    fn sample_secs(&self, freq: f64, batch: usize) -> f64 {
+        let ops: f64 = self.ops.iter().map(|&(c, m, s)| (c / freq).max(m) + s).sum();
+        ops + self.transfer_secs + self.overhead_secs / batch.max(1) as f64
+    }
+}
+
+/// The pre-unification estimator lowering, verbatim: the pre-divided
+/// compute term `flops / (peak_ops × efficiency)`, the overhead fold
+/// (query overhead, then per stage: first-launch overhead, sync,
+/// transfer) and the `Σ active_power_w · stage_time` energy numerator
+/// that both `power_w` and `active_energy_j` came from. Kept as the
+/// independent oracle for `estimate_query_secs`, `StreamPlan` and
+/// `active_energy_j`.
+fn legacy_stream_lower(soc: &Soc, graph: &Graph, schedule: &Schedule) -> LegacyStream {
+    let cross_bytes = schedule.cross_engine_bytes(graph);
+    let mut ops = Vec::new();
+    let mut overhead_secs = 0.0;
+    let mut transfer_secs = 0.0;
+    let mut power_time = 0.0;
+    let mut total_time = 0.0;
+
+    let mut launched: Vec<bool> = vec![false; soc.engines.len()];
+    overhead_secs += schedule.query_overhead_us * 1e-6;
+    for (si, stage) in schedule.stages.iter().enumerate() {
+        let engine = soc.engine(stage.engine);
+        if !launched[stage.engine.0] {
+            overhead_secs += engine.launch_overhead_us * 1e-6;
+            launched[stage.engine.0] = true;
+        }
+        overhead_secs += stage.sync_overhead_us * 1e-6;
+        if cross_bytes[si] > 0 {
+            transfer_secs += soc.interconnect.transfer_secs(cross_bytes[si]);
+        }
+        let mut stage_time = 0.0;
+        for &nid in &stage.nodes {
+            let node = graph.node(nid);
+            let compute = if node.cost.flops == 0 {
+                0.0
+            } else {
+                node.cost.flops as f64
+                    / (engine.peak_ops(stage.dtype) * engine.efficiency(node.class()))
+            };
+            let memory =
+                node.cost.total_bytes(stage.dtype) as f64 / (engine.mem_bandwidth_gbps * 1e9);
+            ops.push((compute, memory, engine.per_op_overhead_us * 1e-6));
+            stage_time += compute.max(memory) + engine.per_op_overhead_us * 1e-6;
+        }
+        power_time += engine.active_power_w * stage_time;
+        total_time += stage_time;
+    }
+    let power_w = if total_time > 0.0 { power_time / total_time } else { 0.0 };
+    LegacyStream { ops, overhead_secs, transfer_secs, power_w, energy_j: power_time }
+}
+
 /// Asserts a delta re-lowering is bit-identical to a fresh full compile of
 /// the knob-modified `(soc, graph, schedule)`: the [`QueryPlan`]s execute
 /// identically over an evolving trajectory, the [`StreamPlan`]s sample
@@ -300,6 +370,44 @@ proptest! {
             prop_assert_eq!(&oracle_state, &direct_state, "query {}", q);
             prop_assert_eq!(&oracle_state, &planned_state, "query {}", q);
         }
+    }
+
+    /// The estimator path == the legacy oracle: the ranked estimate, the
+    /// stream's per-sample cost across frequencies and batch sizes, its
+    /// mean power and the tuner's energy objective all match to 0 ULPs.
+    #[test]
+    fn estimator_matches_legacy_oracle(
+        channels in 4usize..48,
+        depth in 1usize..4,
+        cuts in proptest::collection::vec(0usize..16, 0..3),
+        engines in proptest::collection::vec(0usize..2, 1..4),
+        sync_us in 0.0f64..500.0,
+        query_us in 0.0f64..200.0,
+    ) {
+        let soc = soc();
+        let graph = retype(&small_graph(channels, depth), DataType::I8);
+        let schedule = random_schedule(&graph, &cuts, &engines, sync_us, query_us);
+        let oracle = legacy_stream_lower(&soc, &graph, &schedule);
+        let stream = StreamPlan::lower(&soc, &graph, &schedule);
+
+        prop_assert_eq!(
+            estimate_query_secs(&soc, &graph, &schedule).to_bits(),
+            oracle.sample_secs(1.0, 1).to_bits(),
+            "estimate ULP drift"
+        );
+        for (freq, batch) in [(1.0, 1), (0.7, 8), (0.4, 128)] {
+            prop_assert_eq!(
+                stream.sample_secs(freq, batch).to_bits(),
+                oracle.sample_secs(freq, batch).to_bits(),
+                "stream ULP drift at freq {} batch {}", freq, batch
+            );
+        }
+        prop_assert_eq!(stream.power_w().to_bits(), oracle.power_w.to_bits(), "power ULP drift");
+        prop_assert_eq!(
+            active_energy_j(&soc, &graph, &schedule).to_bits(),
+            oracle.energy_j.to_bits(),
+            "energy ULP drift"
+        );
     }
 
     /// The plan's one-time lowering is just as reusable as it claims: one
