@@ -31,9 +31,15 @@ bless:
 	BLESS=1 $(CARGO) test --release --test golden_suite
 
 ## Smoke-run all four LoadGen scenarios (single-stream, offline, server,
-## multi-stream) end to end through the reproduce CLI.
-scenarios:
-	$(CARGO) run --release -p mlperf-bench --bin reproduce -- scenarios
+## multi-stream) end to end through the reproduce CLI with tracing on, and
+## check the trace file holds one traced run per flagship cell. The
+## untraced CLI path is covered by serve-metrics.
+scenarios: build
+	@rm -rf out/scenarios
+	target/release/reproduce scenarios --trace out/scenarios
+	@runs=$$(target/release/reproduce explain out/scenarios/scenarios.json | grep -c '^== profile: '); \
+	[ "$$runs" = 4 ] || { echo "scenarios: expected 4 traced runs in out/scenarios/scenarios.json, found $$runs"; exit 1; }; \
+	echo "scenarios: out/scenarios/scenarios.json holds 4 traced runs"
 
 ## Smoke the live observability endpoint: run the scenario artifact with
 ## the HTTP server on an ephemeral port, then curl /healthz and /metrics

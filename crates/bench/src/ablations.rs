@@ -11,13 +11,13 @@
 //! byte-identity tests below assert every report's output matches them
 //! exactly, and `bench_ablations` measures the speedup against them.
 
-use crate::{cache, worker_threads};
+use crate::{cache, trace_sink, tracing, worker_threads};
 use mlperf_mobile::ai_tax::host_stage_time;
-use mlperf_mobile::harness::RunRules;
+use mlperf_mobile::harness::{run_benchmark_planned, RunRules, ScenarioMix};
 use mlperf_mobile::metrics::metrics;
 use mlperf_mobile::report::render_table;
 use mlperf_mobile::runner::par_map;
-use mlperf_mobile::sut_impl::DatasetScale;
+use mlperf_mobile::sut_impl::{DatasetScale, PlannedDeployment};
 use mlperf_mobile::task::{suite, BenchmarkDef, SuiteVersion};
 use mobile_backend::backend::{Backend, BackendId};
 use mobile_backend::backends::Enn;
@@ -32,7 +32,7 @@ use soc_sim::executor::estimate_query_secs;
 use soc_sim::plan::{OfflinePlan, PlanDelta, SweepPlan};
 use soc_sim::schedule::Schedule;
 use soc_sim::soc::Soc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Estimates each schedule's single-query latency (ms), lowering each
 /// *distinct* schedule once: adjacent knob values often saturate to the
@@ -353,14 +353,15 @@ pub fn power_report() -> String {
             let backend =
                 mlperf_mobile::app::submission_backend(*chip, SuiteVersion::V1_0, def.task);
             let planned = cache().planned(*chip, backend, def.model).ok()?;
-            let score = crate::run_scored_planned(
+            let score = run_benchmark_planned(
                 *chip,
                 cache().soc(*chip),
                 planned,
                 def,
                 &RunRules::smoke_test(),
                 DatasetScale::Reduced(48),
-                false,
+                ScenarioMix::offline_only(false),
+                tracing().then(trace_sink),
             );
             Some(vec![
                 chip.to_string(),
@@ -382,23 +383,25 @@ pub fn power_report() -> String {
     let planned = cache()
         .planned(ChipId::Snapdragon888, BackendId::Snpe, def.model)
         .expect("SNPE compiles classification");
-    let full = crate::run_scored_planned(
+    let full = run_benchmark_planned(
         ChipId::Snapdragon888,
         soc.clone(),
         planned.clone(),
         &def,
         &RunRules::smoke_test(),
         DatasetScale::Reduced(48),
-        false,
+        ScenarioMix::offline_only(false),
+        tracing().then(trace_sink),
     );
-    let low = crate::run_scored_planned(
+    let low = run_benchmark_planned(
         ChipId::Snapdragon888,
         soc,
         planned,
         &def,
         &low_rules,
         DatasetScale::Reduced(48),
-        false,
+        ScenarioMix::offline_only(false),
+        tracing().then(trace_sink),
     );
     format!(
         "Power / energy (Appendix E extension; most chipsets cap at ~3 W TDP)\n{}\nbattery hazard: classification p90 on a full charge {:.2} ms vs {:.2} ms at 15% charge (power-saving mode entered: {}) — why the rules recommend a full charge\n",
@@ -465,9 +468,10 @@ pub fn all_ablations() -> String {
 /// these.
 pub mod serial {
     use super::{
-        cache, host_stage_time, partition, render_table, retype, suite, vendor_backend, Backend,
-        BackendId, ChipId, DataType, DatasetScale, Enn, EngineKind, FallbackPolicy, ModelId,
-        PartitionPlan, RunRules, SuiteVersion, Target,
+        cache, host_stage_time, partition, render_table, retype, run_benchmark_planned, suite,
+        trace_sink, tracing, vendor_backend, Arc, Backend, BackendId, ChipId, DataType,
+        DatasetScale, Enn, EngineKind, FallbackPolicy, ModelId, PartitionPlan, PlannedDeployment,
+        RunRules, ScenarioMix, SuiteVersion, Target,
     };
     use soc_sim::executor::{estimate_query_secs, run_offline};
 
@@ -687,14 +691,16 @@ pub mod serial {
                 let Ok(dep) = cache().deployment(chip, backend, def.model) else {
                     continue;
                 };
-                let score = crate::run_scored(
+                let soc = cache().soc(chip);
+                let score = run_benchmark_planned(
                     chip,
-                    cache().soc(chip),
-                    dep,
+                    Arc::clone(&soc),
+                    PlannedDeployment::compile(&soc, dep),
                     &def,
                     &RunRules::smoke_test(),
                     DatasetScale::Reduced(48),
-                    false,
+                    ScenarioMix::offline_only(false),
+                    tracing().then(trace_sink),
                 );
                 rows.push(vec![
                     chip.to_string(),
@@ -713,23 +719,25 @@ pub mod serial {
         let dep = cache()
             .deployment(ChipId::Snapdragon888, BackendId::Snpe, def.model)
             .expect("SNPE compiles classification");
-        let full = crate::run_scored(
+        let full = run_benchmark_planned(
             ChipId::Snapdragon888,
-            soc.clone(),
-            dep.clone(),
+            Arc::clone(&soc),
+            PlannedDeployment::compile(&soc, Arc::clone(&dep)),
             &def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(48),
-            false,
+            ScenarioMix::offline_only(false),
+            tracing().then(trace_sink),
         );
-        let low = crate::run_scored(
+        let low = run_benchmark_planned(
             ChipId::Snapdragon888,
-            soc,
-            dep,
+            Arc::clone(&soc),
+            PlannedDeployment::compile(&soc, dep),
             &def,
             &low_rules,
             DatasetScale::Reduced(48),
-            false,
+            ScenarioMix::offline_only(false),
+            tracing().then(trace_sink),
         );
         format!(
             "Power / energy (Appendix E extension; most chipsets cap at ~3 W TDP)\n{}\nbattery hazard: classification p90 on a full charge {:.2} ms vs {:.2} ms at 15% charge (power-saving mode entered: {}) — why the rules recommend a full charge\n",

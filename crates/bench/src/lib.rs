@@ -20,19 +20,13 @@ pub use ablations::{
     extensions_report, power_report, take_ablation_breakdown,
 };
 
-use mlperf_mobile::harness::{
-    run_benchmark_planned, run_benchmark_planned_scenarios,
-    run_benchmark_planned_scenarios_with_trace, run_benchmark_planned_with_trace,
-    run_benchmark_with, run_benchmark_with_trace, RunRules, ScenarioMix,
-};
-use mlperf_mobile::sut_impl::PlannedDeployment;
+use mlperf_mobile::harness::{run_benchmark_planned, RunRules, ScenarioMix};
 use mlperf_mobile::metrics::TraceCollector;
 use mlperf_mobile::report::render_table;
 use mlperf_mobile::runner::CompileCache;
 use mlperf_mobile::sut_impl::DatasetScale;
 use mlperf_mobile::task::{suite, BenchmarkDef, SuiteVersion, Task};
-use mlperf_mobile::BenchmarkScore;
-use mobile_backend::backend::{BackendId, Deployment};
+use mobile_backend::backend::BackendId;
 use mobile_backend::registry::{available_backends, vendor_backend};
 use nn_graph::models::ModelId;
 use quant::{nominal_retention, Scheme, Sensitivity};
@@ -40,7 +34,7 @@ use soc_sim::catalog::ChipId;
 use soc_sim::executor::run_offline;
 use soc_sim::soc::Soc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Process-wide compilation cache shared by every table, figure and
 /// insight: the same (chip, backend, model) deployments recur across
@@ -52,8 +46,10 @@ pub fn cache() -> &'static CompileCache {
     CACHE.get_or_init(CompileCache::new)
 }
 
-/// Process-wide trace collector: every harness run made while
-/// [`set_tracing`]`(true)` is in force deposits its
+/// Process-wide trace collector: while [`set_tracing`]`(true)` is in
+/// force, every harness run an artifact makes passes it to
+/// [`mlperf_mobile::harness::run_benchmark_planned`] as
+/// `tracing().then(trace_sink)`, so each run deposits its
 /// [`mlperf_mobile::BenchmarkTrace`] here. The `reproduce --trace` flag
 /// drains it after each artifact to build that artifact's trace file.
 pub fn trace_sink() -> &'static TraceCollector {
@@ -64,7 +60,9 @@ pub fn trace_sink() -> &'static TraceCollector {
 static TRACING: AtomicBool = AtomicBool::new(false);
 
 /// Turns per-query run tracing on or off for every subsequent harness run
-/// in this process (scores are unaffected either way).
+/// in this process: while on, runs push their traces into [`trace_sink`].
+/// Rendered artifacts are byte-identical either way
+/// (`tests/tracing.rs`).
 pub fn set_tracing(on: bool) {
     TRACING.store(on, Ordering::Relaxed);
 }
@@ -73,85 +71,6 @@ pub fn set_tracing(on: bool) {
 #[must_use]
 pub fn tracing() -> bool {
     TRACING.load(Ordering::Relaxed)
-}
-
-/// Runs one benchmark through the global tracing switch: identical to
-/// [`run_benchmark_with`], except that when [`tracing`] is on the run's
-/// trace is deposited in [`trace_sink`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scored(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    deployment: Arc<Deployment>,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> BenchmarkScore {
-    if tracing() {
-        let (score, trace) =
-            run_benchmark_with_trace(chip, soc, deployment, def, rules, scale, with_offline);
-        trace_sink().push(trace);
-        score
-    } else {
-        run_benchmark_with(chip, soc, deployment, def, rules, scale, with_offline)
-    }
-}
-
-/// [`run_scored`] for an already-planned deployment: skips the per-run
-/// plan compilation by reusing the process-wide plan cache's lowering.
-/// Scores are bit-identical either way (plan lowering is deterministic).
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scored_planned(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> BenchmarkScore {
-    if tracing() {
-        let (score, trace) = run_benchmark_planned_with_trace(
-            chip,
-            soc,
-            planned,
-            def,
-            rules,
-            scale,
-            with_offline,
-        );
-        trace_sink().push(trace);
-        score
-    } else {
-        run_benchmark_planned(chip, soc, planned, def, rules, scale, with_offline)
-    }
-}
-
-/// [`run_scored_planned`] with an explicit scenario mix: the path the
-/// four-scenario matrix artifact takes, so server and multi-stream search
-/// probes also land in [`trace_sink`] when tracing is on.
-#[must_use]
-pub(crate) fn run_scored_scenarios(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    mix: ScenarioMix,
-) -> BenchmarkScore {
-    if tracing() {
-        let (score, trace) = run_benchmark_planned_scenarios_with_trace(
-            chip, soc, planned, def, rules, scale, mix,
-        );
-        trace_sink().push(trace);
-        score
-    } else {
-        run_benchmark_planned_scenarios(chip, soc, planned, def, rules, scale, mix)
-    }
 }
 
 /// Worker-thread count for the parallel sweep paths: one per available
@@ -518,7 +437,7 @@ pub fn scenarios() -> String {
         |(chip, def): &(ChipId, BenchmarkDef)| -> Option<Vec<String>> {
             let backend = mlperf_mobile::app::submission_backend(*chip, version, def.task);
             let planned = cache().planned(*chip, backend, def.model).ok()?;
-            let score = run_scored_scenarios(
+            let score = run_benchmark_planned(
                 *chip,
                 cache().soc(*chip),
                 planned,
@@ -526,6 +445,7 @@ pub fn scenarios() -> String {
                 &RunRules::smoke_test(),
                 DatasetScale::Reduced(32),
                 ScenarioMix::all(),
+                tracing().then(trace_sink),
             );
             let srv = score.server.as_ref()?;
             let ms = score.multi_stream.as_ref()?;

@@ -2,10 +2,8 @@
 //! prescribed order with per-vendor backend selection (paper Appendix A
 //! and Table 2), producing a submission-shaped report.
 
-use crate::harness::{BenchmarkScore, BenchmarkTrace, RunRules};
-use crate::metrics::TraceCollector;
+use crate::harness::{BenchmarkScore, RunRules};
 use crate::runner::SuiteRunner;
-use std::sync::Arc;
 use crate::sut_impl::DatasetScale;
 use crate::task::{SuiteVersion, Task};
 use mobile_backend::backend::{BackendId, CompileError};
@@ -133,31 +131,11 @@ pub fn run_suite(
     SuiteRunner::new().suite_report(chip, version, config, scale)
 }
 
-/// Runs the full suite like [`run_suite`] with per-query tracing enabled,
-/// returning the report together with one [`BenchmarkTrace`] per task
-/// (sorted by cell label).
-///
-/// The report is bit-identical to an untraced [`run_suite`] over the same
-/// inputs — tracing never feeds back into the simulation.
-///
-/// # Errors
-///
-/// Propagates the first backend compilation failure (in task order).
-pub fn run_suite_traced(
-    chip: ChipId,
-    version: SuiteVersion,
-    config: &AppConfig,
-    scale: DatasetScale,
-) -> Result<(SuiteReport, Vec<BenchmarkTrace>), CompileError> {
-    let sink = Arc::new(TraceCollector::new());
-    let runner = SuiteRunner::new().with_trace(Arc::clone(&sink));
-    let report = runner.suite_report(chip, version, config, scale)?;
-    Ok((report, sink.drain()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::TraceCollector;
+    use std::sync::Arc;
 
     #[test]
     fn table2_backend_matrix() {
@@ -243,7 +221,12 @@ mod tests {
         let chip = ChipId::Dimensity1100;
         let scale = DatasetScale::Reduced(32);
         let plain = run_suite(chip, SuiteVersion::V1_0, &config, scale).unwrap();
-        let (traced, traces) = run_suite_traced(chip, SuiteVersion::V1_0, &config, scale).unwrap();
+        let sink = Arc::new(TraceCollector::new());
+        let traced = SuiteRunner::new()
+            .with_trace(Arc::clone(&sink))
+            .suite_report(chip, SuiteVersion::V1_0, &config, scale)
+            .unwrap();
+        let traces = sink.drain();
         assert_eq!(plain.to_json(), traced.to_json(), "tracing must not perturb scores");
         assert_eq!(traces.len(), 4, "one trace per task");
         for trace in &traces {

@@ -6,7 +6,7 @@
 //! throughput numbers, along with accuracy. The results are valid if our
 //! numbers are within 5% of the submitted scores."
 
-use crate::harness::{run_benchmark, RunRules};
+use crate::harness::{run_benchmark, RunRules, ScenarioMix};
 use crate::sut_impl::DatasetScale;
 use crate::task::{suite, SuiteVersion, Task};
 use loadgen::checker::check_log;
@@ -172,9 +172,9 @@ pub fn audit(package: &SubmissionPackage, rules: &RunRules, scale: DatasetScale)
     // 4. Independent reproduction (factory-reset device = fresh state),
     // including the offline scenario when the submission claims one.
     let backend = create(package.backend);
-    let with_offline = package.claimed_offline_fps.is_some();
+    let mix = ScenarioMix::offline_only(package.claimed_offline_fps.is_some());
     let (reproduced_latency_ms, reproduced_accuracy, reproduced_fps) =
-        match run_benchmark(package.chip, backend.as_ref(), &def, rules, scale, with_offline) {
+        match run_benchmark(package.chip, backend.as_ref(), &def, rules, scale, mix) {
             Ok(score) => (
                 score.latency_ms(),
                 score.accuracy,
@@ -241,7 +241,8 @@ mod tests {
         let def = suite(version).into_iter().find(|d| d.task == task).unwrap();
         let backend_id = submission_backend(chip, version, task);
         let backend = create(backend_id);
-        let score = run_benchmark(chip, backend.as_ref(), &def, &rules, scale, false).unwrap();
+        let mix = ScenarioMix::offline_only(false);
+        let score = run_benchmark(chip, backend.as_ref(), &def, &rules, scale, mix).unwrap();
         let deployment = backend.compile(&def.model.build(), &chip.build()).unwrap();
         let package = SubmissionPackage {
             chip,

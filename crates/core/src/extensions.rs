@@ -49,7 +49,7 @@ pub fn extended_suite(version: SuiteVersion) -> Vec<BenchmarkDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_benchmark, RunRules};
+    use crate::harness::{run_benchmark, RunRules, ScenarioMix};
     use crate::sut_impl::DatasetScale;
     use mobile_backend::backends::{Enn, Snpe};
     use soc_sim::catalog::ChipId;
@@ -75,7 +75,7 @@ mod tests {
             def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(200),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .unwrap();
         assert!(
@@ -100,7 +100,7 @@ mod tests {
             def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(24),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .unwrap();
         assert!(
@@ -118,7 +118,7 @@ mod tests {
             &suite(SuiteVersion::V1_0)[2],
             &RunRules::smoke_test(),
             DatasetScale::Reduced(24),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .unwrap();
         assert!(score.latency_ms() > seg.latency_ms(), "SR must out-weigh segmentation");

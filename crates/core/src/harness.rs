@@ -2,7 +2,7 @@
 //! the run rules — accuracy mode first, then performance mode, with
 //! cooldown intervals — and scores it.
 
-use crate::metrics::metrics;
+use crate::metrics::{metrics, TraceCollector};
 use crate::sut_impl::{
     DatasetScale, DeviceSut, PerfDeviceSut, PlannedDeployment, Prediction, TaskData,
 };
@@ -11,12 +11,11 @@ use loadgen::checker::{check_log, Violation};
 use loadgen::log::RunLog;
 use loadgen::run::{
     find_max_qps, find_max_streams, run_accuracy_advance, run_accuracy_parallel,
-    run_multi_stream_traced, run_offline_scenario_traced, run_server_traced,
-    run_single_stream_traced, PerformanceResult,
+    run_multi_stream, run_offline_scenario, run_server, run_single_stream, PerformanceResult,
 };
 use loadgen::scenario::TestSettings;
 use loadgen::trace::RunTrace;
-use mobile_backend::backend::{Backend, BackendId, CompileError, Deployment};
+use mobile_backend::backend::{Backend, BackendId, CompileError};
 
 use serde::{Deserialize, Serialize};
 use soc_sim::battery::{BatterySpec, BatteryState};
@@ -332,8 +331,9 @@ impl RunEnergy {
 /// span timeline (with per-query SoC telemetry) plus the offline burst
 /// when that scenario ran.
 ///
-/// Produced by [`run_benchmark_with_trace`]; purely observational — a
-/// traced run scores bit-identically to an untraced one.
+/// [`run_benchmark_planned`] pushes one into its trace sink when given
+/// one; purely observational — a traced run scores bit-identically to an
+/// untraced one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkTrace {
     /// Platform the run executed on.
@@ -485,14 +485,18 @@ pub fn score_accuracy(data: &TaskData, predictions: &[(usize, Prediction)]) -> f
 }
 
 /// Runs one benchmark end-to-end: compile, accuracy mode, cooldown,
-/// single-stream performance, optional offline — per the test-control
-/// order of paper Section 6.1 ("the model runs on the validation set to
-/// calculate the accuracy; performance mode follows").
+/// single-stream performance, then whatever `mix` adds (offline, server,
+/// multi-stream) — per the test-control order of paper Section 6.1 ("the
+/// model runs on the validation set to calculate the accuracy;
+/// performance mode follows").
+///
+/// This is the fresh-compile path: it builds the SoC, compiles and plans
+/// the deployment, then runs [`run_benchmark_planned`] untraced.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use mlperf_mobile::harness::{run_benchmark, RunRules};
+/// use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 /// use mlperf_mobile::sut_impl::DatasetScale;
 /// use mlperf_mobile::task::{suite, SuiteVersion};
 /// use mobile_backend::backends::Snpe;
@@ -505,7 +509,7 @@ pub fn score_accuracy(data: &TaskData, predictions: &[(usize, Prediction)]) -> f
 ///     def,
 ///     &RunRules::default(),
 ///     DatasetScale::Full,
-///     true,
+///     ScenarioMix::offline_only(true),
 /// )?;
 /// println!("p90 {:.2} ms, accuracy {:.4}", score.latency_ms(), score.accuracy);
 /// # Ok::<(), mobile_backend::backend::CompileError>(())
@@ -520,146 +524,12 @@ pub fn run_benchmark(
     def: &BenchmarkDef,
     rules: &RunRules,
     scale: DatasetScale,
-    with_offline: bool,
-) -> Result<BenchmarkScore, CompileError> {
-    run_benchmark_scenarios(chip, backend, def, rules, scale, ScenarioMix::offline_only(with_offline))
-}
-
-/// [`run_benchmark`] with an explicit scenario mix: any combination of
-/// offline, server, and multi-stream after the mandatory single-stream
-/// leg.
-///
-/// # Errors
-///
-/// Propagates backend compilation failures.
-pub fn run_benchmark_scenarios(
-    chip: ChipId,
-    backend: &dyn Backend,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
     mix: ScenarioMix,
 ) -> Result<BenchmarkScore, CompileError> {
     let soc = Arc::new(chip.build());
     let deployment = Arc::new(backend.compile(&def.model.build(), &soc)?);
     let planned = PlannedDeployment::compile(&soc, deployment);
-    Ok(run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0)
-}
-
-/// Runs one benchmark on an already-compiled deployment.
-///
-/// This is [`run_benchmark`] minus the compile step: the suite runner's
-/// compilation cache hands the same `Arc<Deployment>` to every run of a
-/// `(chip, backend, model)` triple, so compilation happens once per triple
-/// instead of once per run. All mutable state (thermal, energy, battery)
-/// is created fresh inside this function and the simulated inference is
-/// seeded from `rules.settings.seed`, so a run over a cached deployment is
-/// bit-identical to one over a freshly compiled deployment.
-#[must_use]
-pub fn run_benchmark_with(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    deployment: Arc<Deployment>,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> BenchmarkScore {
-    let planned = PlannedDeployment::compile(&soc, deployment);
-    let mix = ScenarioMix::offline_only(with_offline);
-    run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0
-}
-
-/// Runs one benchmark on an already-planned deployment — the fastest
-/// path: compilation *and* query-plan lowering both happened earlier (the
-/// suite runner's caches), so this function goes straight to execution.
-///
-/// Planning is invisible in results: scores are bit-identical to
-/// [`run_benchmark_with`] and [`run_benchmark`] for the same inputs
-/// (`tests/parallel_determinism.rs` proves planned == unplanned ==
-/// serial).
-#[must_use]
-pub fn run_benchmark_planned(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> BenchmarkScore {
-    let mix = ScenarioMix::offline_only(with_offline);
-    run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0
-}
-
-/// [`run_benchmark_planned`] with an explicit scenario mix.
-#[must_use]
-pub fn run_benchmark_planned_scenarios(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    mix: ScenarioMix,
-) -> BenchmarkScore {
-    run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, false).0
-}
-
-/// [`run_benchmark_planned_scenarios`] with per-query tracing enabled,
-/// returning the score together with the run trace (which carries one
-/// [`RunTrace`] per scenario that ran).
-#[must_use]
-pub fn run_benchmark_planned_scenarios_with_trace(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    mix: ScenarioMix,
-) -> (BenchmarkScore, BenchmarkTrace) {
-    let (score, trace) = run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, true);
-    (score, trace.expect("traced run always yields a trace"))
-}
-
-/// [`run_benchmark_planned`] with per-query tracing enabled, returning
-/// the score together with the run trace.
-#[must_use]
-pub fn run_benchmark_planned_with_trace(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    planned: PlannedDeployment,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> (BenchmarkScore, BenchmarkTrace) {
-    let mix = ScenarioMix::offline_only(with_offline);
-    let (score, trace) = run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, true);
-    (score, trace.expect("traced run always yields a trace"))
-}
-
-/// Runs one benchmark on an already-compiled deployment with per-query
-/// tracing enabled, returning the score together with the run trace.
-///
-/// Tracing is purely observational: the returned score is bit-identical
-/// to what [`run_benchmark_with`] produces for the same inputs (the
-/// golden suite and the determinism tests both lock this down).
-#[must_use]
-pub fn run_benchmark_with_trace(
-    chip: ChipId,
-    soc: Arc<Soc>,
-    deployment: Arc<Deployment>,
-    def: &BenchmarkDef,
-    rules: &RunRules,
-    scale: DatasetScale,
-    with_offline: bool,
-) -> (BenchmarkScore, BenchmarkTrace) {
-    let planned = PlannedDeployment::compile(&soc, deployment);
-    let mix = ScenarioMix::offline_only(with_offline);
-    let (score, trace) = run_benchmark_inner(chip, soc, planned, def, rules, scale, mix, true);
-    (score, trace.expect("traced run always yields a trace"))
+    Ok(run_benchmark_planned(chip, soc, planned, def, rules, scale, mix, None))
 }
 
 /// Runs the single-stream performance scenario over K lockstep device
@@ -740,8 +610,22 @@ fn cached_accuracy_score(
     score
 }
 
+/// Runs one benchmark on an already-planned deployment: compilation and
+/// query-plan lowering both happened earlier (the suite runner's caches),
+/// so this goes straight to execution. Every harness run, traced or not,
+/// takes this path.
+///
+/// All mutable state (thermal, energy, battery) is created fresh here and
+/// the simulated inference is seeded from `rules.settings.seed`, so scores
+/// are bit-identical to [`run_benchmark`] for the same inputs
+/// (`tests/parallel_determinism.rs` proves fresh == planned == cached).
+///
+/// With `trace` set, the run also records a [`BenchmarkTrace`] and pushes
+/// it into the sink. Tracing is purely observational: the score is
+/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
-fn run_benchmark_inner(
+#[must_use]
+pub fn run_benchmark_planned(
     chip: ChipId,
     soc: Arc<Soc>,
     planned: PlannedDeployment,
@@ -749,8 +633,9 @@ fn run_benchmark_inner(
     rules: &RunRules,
     scale: DatasetScale,
     mix: ScenarioMix,
-    traced: bool,
-) -> (BenchmarkScore, Option<BenchmarkTrace>) {
+    trace: Option<&TraceCollector>,
+) -> BenchmarkScore {
+    let traced = trace.is_some();
     let backend_id = planned.deployment.backend;
     let scheme = planned.deployment.scheme;
     let accelerator = planned.deployment.accelerator_summary(&soc);
@@ -795,7 +680,7 @@ fn run_benchmark_inner(
     let mut log = RunLog::new();
     let energy_before = sut.state.energy.total_joules();
     let mut ss_trace = RunTrace::new();
-    let single_stream = run_single_stream_traced(
+    let single_stream = run_single_stream(
         &mut sut,
         dataset_len,
         &rules.settings,
@@ -810,7 +695,7 @@ fn run_benchmark_inner(
     let mut offline_trace = RunTrace::new();
     let offline = if mix.offline {
         sut.state.thermal.cooldown(rules.cooldown);
-        Some(run_offline_scenario_traced(
+        Some(run_offline_scenario(
             &mut sut,
             dataset_len,
             &rules.settings,
@@ -854,7 +739,7 @@ fn run_benchmark_inner(
             let mut t = RunTrace::new();
             let mut probe = PerfDeviceSut::new(Arc::clone(&probe_soc), &probe_plans, rules.ambient_c);
             let mut probe_log = RunLog::new();
-            let replay = run_server_traced(
+            let replay = run_server(
                 &mut probe,
                 dataset_len,
                 search.result.offered_qps.expect("server result carries its offered load"),
@@ -892,7 +777,7 @@ fn run_benchmark_inner(
             let mut t = RunTrace::new();
             let mut probe = PerfDeviceSut::new(Arc::clone(&probe_soc), &probe_plans, rules.ambient_c);
             let mut probe_log = RunLog::new();
-            let replay = run_multi_stream_traced(
+            let replay = run_multi_stream(
                 &mut probe,
                 dataset_len,
                 search.result.streams.expect("multi-stream result carries its width"),
@@ -922,7 +807,7 @@ fn run_benchmark_inner(
         wall_ms: run_wall.as_secs_f64() * 1e3,
         queries: single_stream.queries,
     });
-    let trace = if traced {
+    if let Some(sink) = trace {
         let energy = RunEnergy::capture(
             &sut.soc,
             &sut.state,
@@ -942,10 +827,8 @@ fn run_benchmark_inner(
             energy,
         };
         metrics().record_throttling(trace.throttled_queries(), trace.throttle_events());
-        Some(trace)
-    } else {
-        None
-    };
+        sink.push(trace);
+    }
 
     let violations = check_log(&log, &rules.settings);
     let power_saving_entered = sut
@@ -954,7 +837,7 @@ fn run_benchmark_inner(
         .as_ref()
         .is_some_and(soc_sim::battery::BatteryState::power_saving);
     let quality_target = def.quality_target();
-    let score = BenchmarkScore {
+    BenchmarkScore {
         def: def.clone(),
         chip,
         backend: backend_id,
@@ -973,8 +856,7 @@ fn run_benchmark_inner(
         average_power_w,
         power_saving_entered,
         log,
-    };
-    (score, trace)
+    }
 }
 
 #[cfg(test)]
@@ -992,7 +874,7 @@ mod tests {
             def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(256),
-            true,
+            ScenarioMix::offline_only(true),
         )
         .unwrap();
         assert!(score.accuracy_passed, "accuracy {} vs target {}", score.accuracy, score.quality_target);
@@ -1012,7 +894,7 @@ mod tests {
             def,
             &rules,
             DatasetScale::Reduced(64),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .unwrap();
         assert!(!score.ambient_compliant);
@@ -1040,7 +922,7 @@ mod tests {
         let mut ss_trace = RunTrace::new();
         let before = sut.state.energy.total_joules();
         let dataset_len = sut.data.len();
-        let perf = run_single_stream_traced(
+        let perf = run_single_stream(
             &mut sut,
             dataset_len,
             &rules.settings,
@@ -1090,7 +972,7 @@ mod tests {
             def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(64),
-            false,
+            ScenarioMix::offline_only(false),
         )
         .unwrap();
         let violations = check_log(&score.log, &rules.settings);

@@ -70,7 +70,7 @@ pub mod sut_impl;
 pub mod task;
 pub mod tuning;
 
-pub use app::{run_suite, run_suite_traced, submission_backend, AppConfig, SuiteReport};
+pub use app::{run_suite, submission_backend, AppConfig, SuiteReport};
 pub use ai_tax::{host_stage_time, EndToEndSut};
 pub use extensions::{extended_suite, extension_defs};
 pub use fleet::{
@@ -78,10 +78,7 @@ pub use fleet::{
 };
 pub use submission::{Date, SubmissionEntry, SubmissionRegistry};
 pub use audit::{audit, AuditFinding, AuditReport, SubmissionPackage};
-pub use harness::{
-    run_benchmark, run_benchmark_with, run_benchmark_with_trace, run_single_stream_lanes,
-    BenchmarkScore, BenchmarkTrace, RunRules,
-};
+pub use harness::{run_benchmark, run_single_stream_lanes, BenchmarkScore, BenchmarkTrace, RunRules};
 pub use harness::{EngineActivity, RunEnergy};
 pub use metrics::{metrics, MetricsRegistry, MetricsSnapshot, SpecTiming, TraceCollector};
 pub use obs::{ObsServer, SelfProfile};

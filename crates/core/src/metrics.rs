@@ -277,7 +277,9 @@ pub fn metrics() -> &'static MetricsRegistry {
 }
 
 /// A thread-safe sink for [`BenchmarkTrace`]s, attachable to a
-/// [`SuiteRunner`][crate::runner::SuiteRunner] via `with_trace`.
+/// [`SuiteRunner`][crate::runner::SuiteRunner] via `with_trace` or passed
+/// to one run as the `trace` argument of
+/// [`run_benchmark_planned`][crate::harness::run_benchmark_planned].
 #[derive(Debug, Default)]
 pub struct TraceCollector {
     traces: Mutex<Vec<BenchmarkTrace>>,

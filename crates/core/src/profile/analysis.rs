@@ -269,8 +269,9 @@ pub fn profile_report(traces: &[BenchmarkTrace]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_benchmark_with_trace, RunRules};
-    use crate::sut_impl::DatasetScale;
+    use crate::harness::{run_benchmark_planned, RunRules, ScenarioMix};
+    use crate::metrics::TraceCollector;
+    use crate::sut_impl::{DatasetScale, PlannedDeployment};
     use crate::task::{suite, SuiteVersion};
     use mobile_backend::backend::Backend;
     use mobile_backend::backends::Neuron;
@@ -281,16 +282,19 @@ mod tests {
         let def = &suite(SuiteVersion::V1_0)[0];
         let soc = Arc::new(ChipId::Dimensity1100.build());
         let deployment = Arc::new(Neuron.compile(&def.model.build(), &soc).unwrap());
-        let (_, trace) = run_benchmark_with_trace(
+        let planned = PlannedDeployment::compile(&soc, deployment);
+        let sink = TraceCollector::new();
+        let _ = run_benchmark_planned(
             ChipId::Dimensity1100,
             soc,
-            deployment,
+            planned,
             def,
             &RunRules::smoke_test(),
             DatasetScale::Reduced(64),
-            true,
+            ScenarioMix::offline_only(true),
+            Some(&sink),
         );
-        trace
+        sink.drain().pop().expect("a traced run pushes its trace")
     }
 
     #[test]

@@ -277,15 +277,21 @@ mod tests {
 
     #[test]
     fn trace_summary_lists_cells() {
-        use crate::app::run_suite_traced;
+        use crate::metrics::TraceCollector;
+        use crate::runner::SuiteRunner;
+        use std::sync::Arc;
         let config = AppConfig { rules: RunRules::smoke_test(), offline_classification: true, scenario_matrix: false, tuner: None };
-        let (_, traces) = run_suite_traced(
-            ChipId::Snapdragon888,
-            SuiteVersion::V1_0,
-            &config,
-            DatasetScale::Reduced(32),
-        )
-        .unwrap();
+        let sink = Arc::new(TraceCollector::new());
+        SuiteRunner::new()
+            .with_trace(Arc::clone(&sink))
+            .suite_report(
+                ChipId::Snapdragon888,
+                SuiteVersion::V1_0,
+                &config,
+                DatasetScale::Reduced(32),
+            )
+            .unwrap();
+        let traces = sink.drain();
         let text = format_trace_summary(&traces);
         assert!(text.contains("Run traces"));
         assert!(text.contains("spans"));

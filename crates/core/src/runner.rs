@@ -19,16 +19,13 @@
 //! [`crate::harness::run_benchmark`]. Compilation is a pure function of
 //! `(chip, backend, model)`; the simulated inference draws from RNGs
 //! seeded only by run-rule settings and sample indices; and per-run state
-//! is created fresh inside [`crate::harness::run_benchmark_with`]. The
+//! is created fresh inside [`crate::harness::run_benchmark_planned`]. The
 //! only cross-thread communication is handing out shared immutable
 //! deployments. The `suite_integration` test suite enforces this by
 //! comparing serialized reports.
 
 use crate::app::{submission_backend, AppConfig, SuiteReport};
-use crate::harness::{
-    run_benchmark_planned_scenarios, run_benchmark_planned_scenarios_with_trace, BenchmarkScore,
-    RunRules, ScenarioMix,
-};
+use crate::harness::{run_benchmark_planned, BenchmarkScore, RunRules, ScenarioMix};
 use crate::metrics::{metrics, TraceCollector};
 use crate::sut_impl::{DatasetScale, PlannedDeployment};
 use crate::task::{suite, BenchmarkDef, SuiteVersion, Task};
@@ -581,29 +578,16 @@ impl SuiteRunner {
             };
             let soc = self.cache.soc(spec.chip);
             let started = std::time::Instant::now();
-            let score = if let Some(sink) = &self.trace_sink {
-                let (score, trace) = run_benchmark_planned_scenarios_with_trace(
-                    spec.chip,
-                    soc,
-                    planned,
-                    &spec.def,
-                    rules,
-                    scale,
-                    spec.mix,
-                );
-                sink.push(trace);
-                score
-            } else {
-                run_benchmark_planned_scenarios(
-                    spec.chip,
-                    soc,
-                    planned,
-                    &spec.def,
-                    rules,
-                    scale,
-                    spec.mix,
-                )
-            };
+            let score = run_benchmark_planned(
+                spec.chip,
+                soc,
+                planned,
+                &spec.def,
+                rules,
+                scale,
+                spec.mix,
+                self.trace_sink.as_deref(),
+            );
             let label = format!("{}/{:?}/{}", spec.chip, spec.def.task, spec.backend);
             metrics().record_spec_wall(label, started.elapsed().as_secs_f64() * 1e3);
             Ok(score)

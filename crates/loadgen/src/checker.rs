@@ -244,7 +244,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(10));
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let _ = run_single_stream(&mut sut, 1000, &settings, &mut log);
+        let _ = run_single_stream(&mut sut, 1000, &settings, &mut log, None);
         assert!(check_log(&log, &settings).is_empty());
     }
 
@@ -253,7 +253,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_micros(50));
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let _ = run_offline_scenario(&mut sut, 1000, &settings, &mut log);
+        let _ = run_offline_scenario(&mut sut, 1000, &settings, &mut log, None);
         assert!(check_log(&log, &settings).is_empty());
     }
 
@@ -264,7 +264,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(1));
         let mut log = RunLog::new();
         let smoke = TestSettings::smoke_test();
-        let _ = run_single_stream(&mut sut, 100, &smoke, &mut log);
+        let _ = run_single_stream(&mut sut, 100, &smoke, &mut log, None);
         let real = TestSettings { seed: smoke.seed, ..TestSettings::default() };
         // (seed matched to isolate the count/duration violations)
         let violations = check_log(&log, &real);
@@ -277,7 +277,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(10));
         let mut log = RunLog::new();
         let mut settings = TestSettings::default();
-        let _ = run_single_stream(&mut sut, 1000, &settings, &mut log);
+        let _ = run_single_stream(&mut sut, 1000, &settings, &mut log, None);
         settings.seed = 999; // auditor expects a different published seed
         let violations = check_log(&log, &settings);
         assert!(violations.iter().any(|v| matches!(v, Violation::WrongSeed { .. })));
@@ -288,7 +288,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(10));
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let _ = run_single_stream(&mut sut, 1000, &settings, &mut log);
+        let _ = run_single_stream(&mut sut, 1000, &settings, &mut log, None);
         // Drop the final record — "unedited logs" rule.
         let text = log.to_json_lines();
         let truncated: Vec<&str> = text.lines().collect();
@@ -371,7 +371,7 @@ mod tests {
         let mut log = RunLog::new();
         let settings = TestSettings::default();
         // 100 qps over >= 60 s satisfies both server thresholds.
-        let _ = run_server(&mut sut, 1000, 100.0, &settings, &mut log);
+        let _ = run_server(&mut sut, 1000, 100.0, &settings, &mut log, None);
         assert!(check_log(&log, &settings).is_empty());
     }
 
@@ -381,7 +381,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(2));
         let mut log = RunLog::new();
         let smoke = TestSettings::smoke_test();
-        let _ = run_server(&mut sut, 100, 200.0, &smoke, &mut log);
+        let _ = run_server(&mut sut, 100, 200.0, &smoke, &mut log, None);
         let real = TestSettings { seed: smoke.seed, ..TestSettings::default() };
         let violations = check_log(&log, &real);
         assert!(violations.iter().any(|v| matches!(v, Violation::TooFewQueries { .. })));
@@ -394,7 +394,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(2));
         let mut log = RunLog::new();
         let settings = TestSettings::smoke_test();
-        let _ = run_server(&mut sut, 100, 200.0, &settings, &mut log);
+        let _ = run_server(&mut sut, 100, 200.0, &settings, &mut log, None);
         // Drop one QueryComplete line: the declared count no longer adds
         // up.
         let text = log.to_json_lines();
@@ -425,7 +425,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(2));
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let _ = run_multi_stream(&mut sut, 1000, 4, &settings, &mut log);
+        let _ = run_multi_stream(&mut sut, 1000, 4, &settings, &mut log, None);
         assert!(check_log(&log, &settings).is_empty());
     }
 
@@ -461,7 +461,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(1));
         let mut log = RunLog::new();
         let settings = TestSettings::smoke_test();
-        let _ = run_multi_stream(&mut sut, 100, 3, &settings, &mut log);
+        let _ = run_multi_stream(&mut sut, 100, 3, &settings, &mut log, None);
         assert!(check_log(&log, &settings).is_empty(), "untampered run complies");
         // Inflate one frame's declared width: lanes no longer add up.
         let text = log.to_json_lines();
@@ -524,10 +524,10 @@ mod tests {
         let settings = TestSettings::smoke_test();
         let mut log = RunLog::new();
         let mut sut = ConstantSut::new(SimDuration::from_millis(1));
-        let _ = run_single_stream(&mut sut, 100, &settings, &mut log);
-        let _ = run_offline_scenario(&mut sut, 100, &settings, &mut log);
-        let _ = run_server(&mut sut, 100, 100.0, &settings, &mut log);
-        let _ = run_multi_stream(&mut sut, 100, 2, &settings, &mut log);
+        let _ = run_single_stream(&mut sut, 100, &settings, &mut log, None);
+        let _ = run_offline_scenario(&mut sut, 100, &settings, &mut log, None);
+        let _ = run_server(&mut sut, 100, 100.0, &settings, &mut log, None);
+        let _ = run_multi_stream(&mut sut, 100, 2, &settings, &mut log, None);
         assert!(check_log(&log, &settings).is_empty());
         // A wrong seed is reported once per segment.
         let audited = TestSettings { seed: 12345, ..settings };

@@ -26,7 +26,7 @@
 //!
 //! let mut sut = ConstantSut::new(SimDuration::from_millis(5));
 //! let mut log = RunLog::new();
-//! let result = run_single_stream(&mut sut, 1000, &TestSettings::default(), &mut log);
+//! let result = run_single_stream(&mut sut, 1000, &TestSettings::default(), &mut log, None);
 //! assert!(result.queries >= 1024);
 //! assert!(result.duration >= SimDuration::from_secs(60));
 //! ```
@@ -47,12 +47,9 @@ pub use checker::{check_log, Violation};
 pub use event::{EventQueue, PoissonIssuer};
 pub use log::{LogRecord, RunLog};
 pub use run::{
-    find_max_qps, find_max_streams, performance_sample_set, run_accuracy,
-    run_accuracy_advance, run_accuracy_parallel, run_multi_stream,
-    run_multi_stream_traced, run_offline_scenario, run_offline_scenario_traced,
-    run_server, run_server_traced, run_single_stream, run_single_stream_batched,
-    run_single_stream_traced, AccuracyResult, PerformanceResult, QpsSearch,
-    StreamSearch,
+    find_max_qps, find_max_streams, performance_sample_set, run_accuracy, run_accuracy_advance,
+    run_accuracy_parallel, run_multi_stream, run_offline_scenario, run_server, run_single_stream,
+    run_single_stream_batched, AccuracyResult, PerformanceResult, QpsSearch, StreamSearch,
 };
 pub use scenario::{Scenario, TestMode, TestSettings};
 pub use sut::{BatchSut, ConstantBatchSut, ConstantSut, SplitQuery, SystemUnderTest};

@@ -9,6 +9,10 @@
 //! queueing delay. Multi-stream: N-wide frames at a fixed interval; frame
 //! latency is the max over the N lanes. Accuracy mode feeds the entire
 //! validation set. All on the simulated clock.
+//!
+//! Each scenario has one loop, and each loop takes an optional
+//! [`RunTrace`] sink: `None` runs untraced, `Some` records per-query
+//! spans without changing the result or the log.
 
 use crate::event::{EventQueue, PoissonIssuer};
 use crate::log::{LogRecord, RunLog};
@@ -114,31 +118,16 @@ pub fn performance_sample_set(seed: u64, dataset_len: usize, n: u64) -> Vec<usiz
 
 /// Runs the single-stream performance scenario.
 ///
+/// When `trace` is `Some`, every query's span (issue/complete
+/// sim-timestamps, sample index, latency) plus the SUT's telemetry is
+/// recorded into it. Tracing is purely observational: the result and the
+/// log are bit-identical with or without a sink attached (the
+/// `parallel_determinism` integration tests enforce this end to end).
+///
 /// # Panics
 ///
 /// Panics if the dataset is empty.
 pub fn run_single_stream<S: SystemUnderTest>(
-    sut: &mut S,
-    dataset_len: usize,
-    settings: &TestSettings,
-    log: &mut RunLog,
-) -> PerformanceResult {
-    run_single_stream_traced(sut, dataset_len, settings, log, None)
-}
-
-/// Runs the single-stream performance scenario with an optional trace
-/// sink.
-///
-/// When `trace` is `Some`, every query's span (issue/complete
-/// sim-timestamps, sample index, latency) plus the SUT's telemetry is
-/// recorded into it. Tracing is purely observational: the result is
-/// bit-identical to [`run_single_stream`] with or without a sink attached
-/// (the `parallel_determinism` integration tests enforce this end to end).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn run_single_stream_traced<S: SystemUnderTest>(
     sut: &mut S,
     dataset_len: usize,
     settings: &TestSettings,
@@ -159,7 +148,10 @@ pub fn run_single_stream_traced<S: SystemUnderTest>(
             sut.description(),
         );
     }
-    let samples = performance_sample_set(settings.seed, dataset_len, settings.min_query_count);
+    // At least one sample, or a zero query count would leave nothing to
+    // cycle through on the way to `min_duration`.
+    let samples =
+        performance_sample_set(settings.seed, dataset_len, settings.min_query_count.max(1));
     let mut now = SimInstant::EPOCH;
     // At least min_query_count latencies will be recorded; slow-query runs
     // stop right at the count, so this usually avoids every regrowth.
@@ -249,7 +241,9 @@ pub fn run_single_stream_batched<S: crate::sut::BatchSut>(
             sut.lane_description(k),
         );
     }
-    let samples = performance_sample_set(settings.seed, dataset_len, settings.min_query_count);
+    // Clamped exactly like the scalar loop's sample set.
+    let samples =
+        performance_sample_set(settings.seed, dataset_len, settings.min_query_count.max(1));
 
     /// Per-lane run-loop bookkeeping, identical to the scalar loop's
     /// locals.
@@ -330,21 +324,7 @@ pub fn run_single_stream_batched<S: crate::sut::BatchSut>(
 
 /// Runs the offline performance scenario: one burst.
 ///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn run_offline_scenario<S: SystemUnderTest>(
-    sut: &mut S,
-    dataset_len: usize,
-    settings: &TestSettings,
-    log: &mut RunLog,
-) -> PerformanceResult {
-    run_offline_scenario_traced(sut, dataset_len, settings, log, None)
-}
-
-/// Runs the offline performance scenario with an optional trace sink.
-///
-/// Offline observes one burst, so the trace records a single
+/// Offline observes one burst, so a `Some` trace records a single
 /// [`crate::trace::BurstSpan`] covering the whole throughput window
 /// (`end - start` equals the reported duration; `samples` equals the
 /// reported query count). Tracing never perturbs the result.
@@ -352,7 +332,7 @@ pub fn run_offline_scenario<S: SystemUnderTest>(
 /// # Panics
 ///
 /// Panics if the dataset is empty.
-pub fn run_offline_scenario_traced<S: SystemUnderTest>(
+pub fn run_offline_scenario<S: SystemUnderTest>(
     sut: &mut S,
     dataset_len: usize,
     settings: &TestSettings,
@@ -413,21 +393,6 @@ const QPS_SEARCH_ITERS: u32 = 10;
 
 /// Runs the server performance scenario at a fixed offered load.
 ///
-/// # Panics
-///
-/// Panics if the dataset is empty or `qps` is not strictly positive.
-pub fn run_server<S: SystemUnderTest>(
-    sut: &mut S,
-    dataset_len: usize,
-    qps: f64,
-    settings: &TestSettings,
-    log: &mut RunLog,
-) -> PerformanceResult {
-    run_server_traced(sut, dataset_len, qps, settings, log, None)
-}
-
-/// Runs the server performance scenario with an optional trace sink.
-///
 /// Queries arrive at Poisson-distributed instants (rate `qps`, seeded from
 /// the test seed) and are dispatched through the deterministic
 /// discrete-event executor: at most `server_concurrency` queries execute
@@ -441,7 +406,7 @@ pub fn run_server<S: SystemUnderTest>(
 /// # Panics
 ///
 /// Panics if the dataset is empty or `qps` is not strictly positive.
-pub fn run_server_traced<S: SystemUnderTest>(
+pub fn run_server<S: SystemUnderTest>(
     sut: &mut S,
     dataset_len: usize,
     qps: f64,
@@ -591,7 +556,7 @@ where
         let qps = 0.5 * (lo + hi);
         let mut sut = make_sut();
         let mut log = RunLog::new();
-        let result = run_server(&mut sut, dataset_len, qps, settings, &mut log);
+        let result = run_server(&mut sut, dataset_len, qps, settings, &mut log, None);
         probes += 1;
         let p90 = result.latency.as_ref().expect("server runs record latencies").p90_ns;
         if p90 <= target_latency.as_nanos() {
@@ -615,21 +580,6 @@ where
 
 /// Runs the multi-stream performance scenario at a fixed stream count.
 ///
-/// # Panics
-///
-/// Panics if the dataset is empty or `streams` is zero.
-pub fn run_multi_stream<S: SystemUnderTest>(
-    sut: &mut S,
-    dataset_len: usize,
-    streams: u64,
-    settings: &TestSettings,
-    log: &mut RunLog,
-) -> PerformanceResult {
-    run_multi_stream_traced(sut, dataset_len, streams, settings, log, None)
-}
-
-/// Runs the multi-stream performance scenario with an optional trace sink.
-///
 /// Frames of `streams` queries are issued every `multi_stream_interval`,
 /// on schedule regardless of overrun, through the discrete-event executor.
 /// All lanes of a frame dispatch at the frame instant (the accelerator
@@ -644,7 +594,7 @@ pub fn run_multi_stream<S: SystemUnderTest>(
 /// # Panics
 ///
 /// Panics if the dataset is empty or `streams` is zero.
-pub fn run_multi_stream_traced<S: SystemUnderTest>(
+pub fn run_multi_stream<S: SystemUnderTest>(
     sut: &mut S,
     dataset_len: usize,
     streams: u64,
@@ -795,7 +745,7 @@ where
     let probe = |make_sut: &mut F, n: u64, probes: &mut u64| {
         let mut sut = make_sut();
         let mut log = RunLog::new();
-        let result = run_multi_stream(&mut sut, dataset_len, n, settings, &mut log);
+        let result = run_multi_stream(&mut sut, dataset_len, n, settings, &mut log, None);
         *probes += 1;
         let pass = result.latency.as_ref().expect("multi-stream runs record frame latencies").p90_ns
             <= interval.as_nanos();
@@ -941,7 +891,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(100));
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let r = run_single_stream(&mut sut, 5000, &settings, &mut log);
+        let r = run_single_stream(&mut sut, 5000, &settings, &mut log, None);
         assert!(r.queries >= 1024);
         assert!(r.duration >= SimDuration::from_secs(60));
         // 1024 queries at 100ms = 102.4s > 60s: count binds.
@@ -955,7 +905,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(1));
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let r = run_single_stream(&mut sut, 5000, &settings, &mut log);
+        let r = run_single_stream(&mut sut, 5000, &settings, &mut log, None);
         assert!(r.queries >= 60_000, "queries {}", r.queries);
         assert!(r.duration >= SimDuration::from_secs(60));
     }
@@ -964,7 +914,7 @@ mod tests {
     fn single_stream_p90_of_constant_is_constant() {
         let mut sut = ConstantSut::new(SimDuration::from_millis(7));
         let mut log = RunLog::new();
-        let r = run_single_stream(&mut sut, 100, &TestSettings::smoke_test(), &mut log);
+        let r = run_single_stream(&mut sut, 100, &TestSettings::smoke_test(), &mut log, None);
         assert_eq!(r.latency.as_ref().unwrap().p90_ns, 7_000_000);
         assert!((r.score() - 7.0).abs() < 1e-9);
     }
@@ -973,7 +923,7 @@ mod tests {
     fn offline_issues_24576() {
         let mut sut = ConstantSut::new(SimDuration::from_micros(100));
         let mut log = RunLog::new();
-        let r = run_offline_scenario(&mut sut, 50_000, &TestSettings::default(), &mut log);
+        let r = run_offline_scenario(&mut sut, 50_000, &TestSettings::default(), &mut log, None);
         assert_eq!(r.queries, 24_576);
         assert_eq!(sut.queries_served, 24_576);
         // 100us per sample sequentially -> 10k fps.
@@ -1007,7 +957,7 @@ mod tests {
     fn log_records_every_query() {
         let mut sut = ConstantSut::new(SimDuration::from_millis(2));
         let mut log = RunLog::new();
-        let r = run_single_stream(&mut sut, 100, &TestSettings::smoke_test(), &mut log);
+        let r = run_single_stream(&mut sut, 100, &TestSettings::smoke_test(), &mut log, None);
         assert_eq!(log.latencies_ns().len() as u64, r.queries);
     }
 
@@ -1045,28 +995,33 @@ mod tests {
         // Heterogeneous lane latencies so lanes retire at different
         // times: 7 ms lanes stop at the query count, the 40 us lane has
         // to keep going until min_duration. Every lane must be
-        // byte-identical to its own scalar run.
+        // byte-identical to its own scalar run. A zero query count
+        // leaves min_duration as the only stopping rule for every lane.
         let latencies = [
             SimDuration::from_millis(7),
             SimDuration::from_micros(40),
             SimDuration::from_millis(7),
             SimDuration::from_millis(2),
         ];
-        let settings = TestSettings::smoke_test();
-        let mut batch = crate::sut::ConstantBatchSut::new(&latencies);
-        let mut logs: Vec<RunLog> = (0..latencies.len()).map(|_| RunLog::new()).collect();
-        let results = run_single_stream_batched(&mut batch, 100, &settings, &mut logs);
-        assert!(batch.suts.is_empty(), "every lane must retire");
-        for (k, &latency) in latencies.iter().enumerate() {
-            let mut scalar = ConstantSut::new(latency);
-            let mut scalar_log = RunLog::new();
-            let reference = run_single_stream(&mut scalar, 100, &settings, &mut scalar_log);
-            assert_eq!(reference, results[k], "lane {k} diverged");
-            assert_eq!(
-                serde_json::to_string(&scalar_log).unwrap(),
-                serde_json::to_string(&logs[k]).unwrap(),
-                "lane {k} log must be byte-identical to its scalar run"
-            );
+        let zero_count = TestSettings { min_query_count: 0, ..TestSettings::smoke_test() };
+        for settings in [TestSettings::smoke_test(), zero_count] {
+            let mut batch = crate::sut::ConstantBatchSut::new(&latencies);
+            let mut logs: Vec<RunLog> = (0..latencies.len()).map(|_| RunLog::new()).collect();
+            let results = run_single_stream_batched(&mut batch, 100, &settings, &mut logs);
+            assert!(batch.suts.is_empty(), "every lane must retire");
+            for (k, &latency) in latencies.iter().enumerate() {
+                let mut scalar = ConstantSut::new(latency);
+                let mut scalar_log = RunLog::new();
+                let reference =
+                    run_single_stream(&mut scalar, 100, &settings, &mut scalar_log, None);
+                assert!(reference.duration >= settings.min_duration, "lane {k} stopped early");
+                assert_eq!(reference, results[k], "lane {k} diverged");
+                assert_eq!(
+                    serde_json::to_string(&scalar_log).unwrap(),
+                    serde_json::to_string(&logs[k]).unwrap(),
+                    "lane {k} log must be byte-identical to its scalar run"
+                );
+            }
         }
     }
 
@@ -1078,7 +1033,7 @@ mod tests {
         let results = run_single_stream_batched(&mut batch, 64, &settings, &mut logs);
         let mut scalar = ConstantSut::new(SimDuration::from_millis(3));
         let mut scalar_log = RunLog::new();
-        let reference = run_single_stream(&mut scalar, 64, &settings, &mut scalar_log);
+        let reference = run_single_stream(&mut scalar, 64, &settings, &mut scalar_log, None);
         assert_eq!(vec![reference], results);
     }
 
@@ -1126,7 +1081,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(1));
         let mut log = RunLog::new();
         let settings = TestSettings::smoke_test();
-        let r = run_server(&mut sut, 100, 10.0, &settings, &mut log);
+        let r = run_server(&mut sut, 100, 10.0, &settings, &mut log, None);
         assert_eq!(r.scenario, Scenario::Server);
         assert!(r.queries >= settings.min_query_count);
         assert_eq!(r.offered_qps, Some(10.0));
@@ -1143,7 +1098,7 @@ mod tests {
         let mut sut = ConstantSut::new(SimDuration::from_millis(10));
         let mut log = RunLog::new();
         let settings = TestSettings::smoke_test();
-        let r = run_server(&mut sut, 100, 400.0, &settings, &mut log);
+        let r = run_server(&mut sut, 100, 400.0, &settings, &mut log, None);
         let stats = r.latency.as_ref().unwrap();
         assert!(
             stats.p90_ns > 20_000_000,
@@ -1160,7 +1115,7 @@ mod tests {
         let run = || {
             let mut sut = ThermalToySut::new(SimDuration::from_millis(2), 40_000);
             let mut log = RunLog::new();
-            let r = run_server(&mut sut, 64, 150.0, &settings, &mut log);
+            let r = run_server(&mut sut, 64, 150.0, &settings, &mut log, None);
             (r, log.to_json_lines())
         };
         let (ra, la) = run();
@@ -1171,7 +1126,7 @@ mod tests {
         other.seed = 8;
         let mut sut = ThermalToySut::new(SimDuration::from_millis(2), 40_000);
         let mut log = RunLog::new();
-        let rc = run_server(&mut sut, 64, 150.0, &other, &mut log);
+        let rc = run_server(&mut sut, 64, 150.0, &other, &mut log, None);
         assert_ne!(ra.latency, rc.latency, "different seed, different arrivals");
     }
 
@@ -1180,11 +1135,11 @@ mod tests {
         let settings = TestSettings::smoke_test();
         let mut sut = ConstantSut::new(SimDuration::from_millis(5));
         let mut log = RunLog::new();
-        let untraced = run_server(&mut sut, 64, 300.0, &settings, &mut log);
+        let untraced = run_server(&mut sut, 64, 300.0, &settings, &mut log, None);
         let mut sut2 = ConstantSut::new(SimDuration::from_millis(5));
         let mut log2 = RunLog::new();
         let mut trace = RunTrace::new();
-        let traced = run_server_traced(&mut sut2, 64, 300.0, &settings, &mut log2, Some(&mut trace));
+        let traced = run_server(&mut sut2, 64, 300.0, &settings, &mut log2, Some(&mut trace));
         assert_eq!(untraced, traced);
         assert_eq!(log.to_json_lines(), log2.to_json_lines());
         trace.validate().unwrap();
@@ -1201,7 +1156,7 @@ mod tests {
         let settings = TestSettings::smoke_test();
         let mut sut = ThermalToySut::new(SimDuration::from_millis(1), 100_000);
         let mut log = RunLog::new();
-        let r = run_server(&mut sut, 64, 5.0, &settings, &mut log);
+        let r = run_server(&mut sut, 64, 5.0, &settings, &mut log, None);
         assert!(sut.idle_total > r.duration / 2, "idle {} of {}", sut.idle_total, r.duration);
         // Cooling keeps latencies near base despite per-query heating.
         assert!(r.latency.as_ref().unwrap().p50_ns < 2_000_000);
@@ -1226,7 +1181,7 @@ mod tests {
         // The stored result reproduces exactly from a fresh SUT.
         let mut sut = ConstantSut::new(SimDuration::from_millis(10));
         let mut log = RunLog::new();
-        let rerun = run_server(&mut sut, 64, search.max_passing_qps, &settings, &mut log);
+        let rerun = run_server(&mut sut, 64, search.max_passing_qps, &settings, &mut log, None);
         assert_eq!(rerun, search.result);
         assert_eq!(log.to_json_lines(), search.log.to_json_lines());
     }
@@ -1263,7 +1218,7 @@ mod tests {
         let settings = TestSettings::smoke_test();
         let mut sut = CyclingSut { step: 0 };
         let mut log = RunLog::new();
-        let r = run_multi_stream(&mut sut, 64, 4, &settings, &mut log);
+        let r = run_multi_stream(&mut sut, 64, 4, &settings, &mut log, None);
         assert_eq!(r.scenario, Scenario::MultiStream);
         assert_eq!(r.streams, Some(4));
         assert_eq!(r.queries, settings.min_frame_count * 4);
@@ -1286,12 +1241,12 @@ mod tests {
         let settings = TestSettings::smoke_test();
         let mut sut = ThermalToySut::new(SimDuration::from_millis(3), 100_000);
         let mut log = RunLog::new();
-        let untraced = run_multi_stream(&mut sut, 64, 3, &settings, &mut log);
+        let untraced = run_multi_stream(&mut sut, 64, 3, &settings, &mut log, None);
         let mut sut2 = ThermalToySut::new(SimDuration::from_millis(3), 100_000);
         let mut log2 = RunLog::new();
         let mut trace = RunTrace::new();
         let traced =
-            run_multi_stream_traced(&mut sut2, 64, 3, &settings, &mut log2, Some(&mut trace));
+            run_multi_stream(&mut sut2, 64, 3, &settings, &mut log2, Some(&mut trace));
         assert_eq!(untraced, traced);
         assert_eq!(log.to_json_lines(), log2.to_json_lines());
         trace.validate().unwrap();
@@ -1307,7 +1262,7 @@ mod tests {
         let settings = TestSettings::smoke_test();
         let mut sut = ConstantSut::new(SimDuration::from_millis(1));
         let mut log = RunLog::new();
-        let r = run_multi_stream(&mut sut, 64, 2, &settings, &mut log);
+        let r = run_multi_stream(&mut sut, 64, 2, &settings, &mut log, None);
         assert!(r.duration >= settings.min_duration);
         assert!(
             r.duration.as_nanos()
@@ -1331,7 +1286,7 @@ mod tests {
         // The stored result reproduces exactly from a fresh SUT.
         let mut sut = ThermalToySut::new(SimDuration::from_millis(1), 500_000);
         let mut log = RunLog::new();
-        let rerun = run_multi_stream(&mut sut, 64, search.streams, &settings, &mut log);
+        let rerun = run_multi_stream(&mut sut, 64, search.streams, &settings, &mut log, None);
         assert_eq!(rerun, search.result);
         assert_eq!(log.to_json_lines(), search.log.to_json_lines());
     }

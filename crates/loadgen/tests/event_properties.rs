@@ -2,7 +2,7 @@
 //! ordering invariants the server and multi-stream scenarios are built on.
 
 use loadgen::event::{EventQueue, PoissonIssuer};
-use loadgen::run::{run_multi_stream_traced, run_server, run_server_traced};
+use loadgen::run::{run_multi_stream, run_server};
 use loadgen::scenario::TestSettings;
 use loadgen::sut::ConstantSut;
 use loadgen::trace::RunTrace;
@@ -87,7 +87,7 @@ proptest! {
         let mut sut = ConstantSut::new(SimDuration::from_micros(service_us));
         let mut log = RunLog::new();
         let mut trace = RunTrace::new();
-        let r = run_server_traced(
+        let r = run_server(
             &mut sut,
             64,
             qps_x10 as f64 / 10.0,
@@ -119,7 +119,7 @@ proptest! {
         let run = || {
             let mut sut = ConstantSut::new(SimDuration::from_micros(service_us));
             let mut log = RunLog::new();
-            let r = run_server(&mut sut, 64, qps_x10 as f64 / 10.0, &settings, &mut log);
+            let r = run_server(&mut sut, 64, qps_x10 as f64 / 10.0, &settings, &mut log, None);
             (r, log.to_json_lines())
         };
         let (ra, la) = run();
@@ -139,7 +139,7 @@ proptest! {
         let mut sut = ConstantSut::new(SimDuration::from_micros(service_us));
         let mut log = RunLog::new();
         let mut trace = RunTrace::new();
-        let r = run_multi_stream_traced(&mut sut, 64, streams, &settings, &mut log, Some(&mut trace));
+        let r = run_multi_stream(&mut sut, 64, streams, &settings, &mut log, Some(&mut trace));
         trace.validate().expect("multi-stream trace must validate");
         prop_assert_eq!(r.queries, settings.min_frame_count * streams);
         prop_assert_eq!(log.latencies_ns().len() as u64, r.queries);

@@ -46,7 +46,7 @@ proptest! {
         let mut sut = PatternSut::new(pattern);
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let r = run_single_stream(&mut sut, 1000, &settings, &mut log);
+        let r = run_single_stream(&mut sut, 1000, &settings, &mut log, None);
         prop_assert!(r.queries >= settings.min_query_count);
         prop_assert!(r.duration >= settings.min_duration);
         prop_assert!(check_log(&log, &settings).is_empty());
@@ -64,7 +64,7 @@ proptest! {
     ) {
         let mut sut = PatternSut::new(pattern);
         let mut log = RunLog::new();
-        let r = run_single_stream(&mut sut, 500, &TestSettings::smoke_test(), &mut log);
+        let r = run_single_stream(&mut sut, 500, &TestSettings::smoke_test(), &mut log, None);
         let lat = r.latency.as_ref().unwrap();
         prop_assert!(lat.p90_ns >= lat.p50_ns);
         prop_assert!(lat.max_ns >= lat.p90_ns);
@@ -78,7 +78,7 @@ proptest! {
         let mut sut = PatternSut::new(vec![per_sample_us]);
         let mut log = RunLog::new();
         let settings = TestSettings::default();
-        let r = run_offline_scenario(&mut sut, 2048, &settings, &mut log);
+        let r = run_offline_scenario(&mut sut, 2048, &settings, &mut log, None);
         prop_assert_eq!(r.queries, settings.offline_sample_count);
         let implied = r.queries as f64 / r.duration.as_secs_f64();
         prop_assert!((implied / r.throughput_fps - 1.0).abs() < 1e-9);
@@ -131,7 +131,7 @@ fn identical_seeds_produce_identical_logs() {
     let run = || {
         let mut sut = PatternSut::new(vec![900, 1_700, 2_500]);
         let mut log = RunLog::new();
-        let _ = run_single_stream(&mut sut, 777, &TestSettings::smoke_test(), &mut log);
+        let _ = run_single_stream(&mut sut, 777, &TestSettings::smoke_test(), &mut log, None);
         log.to_json_lines()
     };
     assert_eq!(run(), run(), "the whole pipeline must be deterministic");

@@ -5,7 +5,7 @@
 //! whole throughput window.
 
 use loadgen::log::RunLog;
-use loadgen::run::{run_offline_scenario_traced, run_single_stream_traced};
+use loadgen::run::{run_offline_scenario, run_single_stream};
 use loadgen::scenario::TestSettings;
 use loadgen::sut::SystemUnderTest;
 use loadgen::trace::RunTrace;
@@ -48,7 +48,7 @@ proptest! {
         let mut log = RunLog::new();
         let mut trace = RunTrace::new();
         let settings = TestSettings::smoke_test();
-        let r = run_single_stream_traced(&mut sut, dataset_len, &settings, &mut log, Some(&mut trace));
+        let r = run_single_stream(&mut sut, dataset_len, &settings, &mut log, Some(&mut trace));
 
         // Structural invariants hold wholesale...
         prop_assert!(trace.validate().is_ok(), "{:?}", trace.validate());
@@ -80,7 +80,7 @@ proptest! {
         let mut log = RunLog::new();
         let mut trace = RunTrace::new();
         let settings = TestSettings::smoke_test();
-        let r = run_offline_scenario_traced(&mut sut, 512, &settings, &mut log, Some(&mut trace));
+        let r = run_offline_scenario(&mut sut, 512, &settings, &mut log, Some(&mut trace));
 
         prop_assert!(trace.validate().is_ok());
         let burst = trace.burst.as_ref().expect("offline records a burst");
@@ -103,7 +103,7 @@ proptest! {
         let run = |trace: Option<&mut RunTrace>| {
             let mut sut = PatternSut::new(pattern.clone());
             let mut log = RunLog::new();
-            let r = run_single_stream_traced(&mut sut, 500, &settings, &mut log, trace);
+            let r = run_single_stream(&mut sut, 500, &settings, &mut log, trace);
             (r, log.to_json_lines())
         };
         let (plain, plain_log) = run(None);
@@ -123,13 +123,8 @@ fn trace_json_round_trips_through_files() {
     let mut sut = PatternSut::new(vec![900, 1_700, 2_500]);
     let mut log = RunLog::new();
     let mut trace = RunTrace::new();
-    let _ = run_single_stream_traced(
-        &mut sut,
-        777,
-        &TestSettings::smoke_test(),
-        &mut log,
-        Some(&mut trace),
-    );
+    let _ =
+        run_single_stream(&mut sut, 777, &TestSettings::smoke_test(), &mut log, Some(&mut trace));
     let parsed = RunTrace::from_json(&trace.to_json()).unwrap();
     assert_eq!(parsed, trace, "serialization must be lossless");
 }

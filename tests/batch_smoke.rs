@@ -60,7 +60,8 @@ fn batched_golden_cell_is_byte_identical_to_scalar() {
             AMBIENT_C,
         );
         let mut scalar_log = RunLog::new();
-        let reference = run_single_stream(&mut scalar_sut, dataset_len, &settings, &mut scalar_log);
+        let reference =
+            run_single_stream(&mut scalar_sut, dataset_len, &settings, &mut scalar_log, None);
 
         // Diff the bytes: serialized result and serialized log.
         assert_eq!(

@@ -12,9 +12,7 @@
 //! ```
 
 use mlperf_mobile::app::AppConfig;
-use mlperf_mobile::harness::{
-    run_benchmark_planned_scenarios_with_trace, RunRules, ScenarioMix,
-};
+use mlperf_mobile::harness::{run_benchmark_planned, RunRules, ScenarioMix};
 use mlperf_mobile::metrics::TraceCollector;
 use mlperf_mobile::runner::{CompileCache, SuiteRunner};
 use mlperf_mobile::sut_impl::DatasetScale;
@@ -162,7 +160,8 @@ fn compute_scenario_cells() -> Vec<ScenarioGoldenCell> {
             let planned = cache
                 .planned(chip, backend, def.model)
                 .expect("every submission backend compiles");
-            let (score, trace) = run_benchmark_planned_scenarios_with_trace(
+            let sink = TraceCollector::new();
+            let score = run_benchmark_planned(
                 chip,
                 cache.soc(chip),
                 planned,
@@ -170,7 +169,9 @@ fn compute_scenario_cells() -> Vec<ScenarioGoldenCell> {
                 &rules,
                 DatasetScale::Reduced(48),
                 mix,
+                Some(&sink),
             );
+            let trace = sink.drain().pop().expect("a traced run pushes its trace");
             trace.validate().expect("trace invariants hold");
             let srv = score.server.as_ref().expect("mix requested server");
             let ms = score.multi_stream.as_ref().expect("mix requested multi-stream");

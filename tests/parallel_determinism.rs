@@ -3,12 +3,10 @@
 //! serial loop of fresh compiles — parallelism and caching are pure
 //! performance optimisations, invisible in every score.
 
-use mlperf_mobile::harness::{
-    run_benchmark, run_benchmark_scenarios, run_benchmark_with, RunRules, ScenarioMix,
-};
+use mlperf_mobile::harness::{run_benchmark, run_benchmark_planned, RunRules, ScenarioMix};
 use mlperf_mobile::metrics::TraceCollector;
 use mlperf_mobile::runner::{CompileCache, RunSpec, SuiteRunner};
-use mlperf_mobile::sut_impl::DatasetScale;
+use mlperf_mobile::sut_impl::{DatasetScale, PlannedDeployment};
 use mlperf_mobile::task::{suite, SuiteVersion, Task};
 use mobile_backend::registry::create;
 use soc_sim::catalog::ChipId;
@@ -57,7 +55,7 @@ fn parallel_sweep_is_bit_identical_to_serial_loop() {
     let serial: Vec<String> = specs
         .iter()
         .map(|spec| {
-            let score = run_benchmark_scenarios(
+            let score = run_benchmark(
                 spec.chip,
                 create(spec.backend).as_ref(),
                 &spec.def,
@@ -194,18 +192,25 @@ fn cache_hit_scores_match_fresh_compile_scores() {
     let soc = cache.soc(chip);
     assert!((hit.estimate_ms(&soc) - fresh.estimate_ms(&soc)).abs() < f64::EPSILON);
 
-    let from_hit = run_benchmark_with(
+    let from_hit = run_benchmark_planned(
         chip,
-        soc,
-        hit,
+        Arc::clone(&soc),
+        PlannedDeployment::compile(&soc, hit),
         &def,
         &rules,
         DatasetScale::Reduced(48),
-        false,
+        ScenarioMix::offline_only(false),
+        None,
     );
-    let from_fresh =
-        run_benchmark(chip, create(backend).as_ref(), &def, &rules, DatasetScale::Reduced(48), false)
-            .expect("compiles");
+    let from_fresh = run_benchmark(
+        chip,
+        create(backend).as_ref(),
+        &def,
+        &rules,
+        DatasetScale::Reduced(48),
+        ScenarioMix::offline_only(false),
+    )
+    .expect("compiles");
     assert_eq!(
         serde_json::to_string(&from_hit).unwrap(),
         serde_json::to_string(&from_fresh).unwrap(),
@@ -219,8 +224,6 @@ fn planned_runs_match_fresh_compiles_bit_identically() {
     // inside the harness), an explicitly pre-planned deployment, and a
     // plan-cache hit — must produce bit-identical scores. Compiled query
     // plans are a pure performance optimisation, invisible in every score.
-    use mlperf_mobile::harness::run_benchmark_planned_scenarios;
-    use mlperf_mobile::sut_impl::PlannedDeployment;
 
     let specs = matrix();
     let rules = RunRules::smoke_test();
@@ -228,7 +231,7 @@ fn planned_runs_match_fresh_compiles_bit_identically() {
     let cache = CompileCache::new();
 
     for spec in &specs {
-        let fresh = run_benchmark_scenarios(
+        let fresh = run_benchmark(
             spec.chip,
             create(spec.backend).as_ref(),
             &spec.def,
@@ -244,7 +247,7 @@ fn planned_runs_match_fresh_compiles_bit_identically() {
             .compile(&spec.def.model.build(), &soc)
             .expect("matrix spec compiles");
         let hand_planned = PlannedDeployment::compile(&soc, Arc::new(deployment));
-        let planned = run_benchmark_planned_scenarios(
+        let planned = run_benchmark_planned(
             spec.chip,
             Arc::clone(&soc),
             hand_planned,
@@ -252,11 +255,12 @@ fn planned_runs_match_fresh_compiles_bit_identically() {
             &rules,
             scale,
             spec.mix,
+            None,
         );
 
         // Cached plan: second lookup of the same triple is a hit.
         let cached_plan = cache.planned(spec.chip, spec.backend, spec.def.model).unwrap();
-        let from_cache = run_benchmark_planned_scenarios(
+        let from_cache = run_benchmark_planned(
             spec.chip,
             soc,
             cached_plan,
@@ -264,6 +268,7 @@ fn planned_runs_match_fresh_compiles_bit_identically() {
             &rules,
             scale,
             spec.mix,
+            None,
         );
 
         let want = serde_json::to_string(&fresh).unwrap();
@@ -324,9 +329,9 @@ fn fast_forwarded_hot_loop_matches_unmemoized_walk() {
         };
 
         let mut device_log = RunLog::new();
-        let fast = run_single_stream(&mut device, 48, &rules.settings, &mut device_log);
+        let fast = run_single_stream(&mut device, 48, &rules.settings, &mut device_log, None);
         let mut oracle_log = RunLog::new();
-        let walked = run_single_stream(&mut oracle, 48, &rules.settings, &mut oracle_log);
+        let walked = run_single_stream(&mut oracle, 48, &rules.settings, &mut oracle_log, None);
 
         assert_eq!(
             format!("{fast:?}"),

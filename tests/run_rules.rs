@@ -7,7 +7,7 @@ use loadgen::log::RunLog;
 use loadgen::run::{performance_sample_set, run_single_stream};
 use loadgen::scenario::TestSettings;
 use loadgen::sut::SystemUnderTest;
-use mlperf_mobile::harness::{run_benchmark, RunRules};
+use mlperf_mobile::harness::{run_benchmark, RunRules, ScenarioMix};
 use mlperf_mobile::sut_impl::{DatasetScale, DeviceSut};
 use mlperf_mobile::task::{suite, SuiteVersion, Task};
 use mobile_backend::backend::Backend;
@@ -29,7 +29,7 @@ fn single_stream_satisfies_1024_and_60s() {
     let mut sut = device_sut(Task::ImageClassification);
     let mut log = RunLog::new();
     let settings = TestSettings::default();
-    let r = run_single_stream(&mut sut, 128, &settings, &mut log);
+    let r = run_single_stream(&mut sut, 128, &settings, &mut log, None);
     assert!(r.queries >= 1024);
     assert!(r.duration >= SimDuration::from_secs(60));
     assert!(r.queries > 20_000, "2ms queries need >20k to fill 60s, got {}", r.queries);
@@ -44,7 +44,7 @@ fn heavy_task_bound_by_query_count() {
     let mut sut = device_sut(Task::QuestionAnswering);
     let mut log = RunLog::new();
     let settings = TestSettings::default();
-    let r = run_single_stream(&mut sut, 128, &settings, &mut log);
+    let r = run_single_stream(&mut sut, 128, &settings, &mut log, None);
     assert_eq!(r.queries, 1024, "NLP should be count-bound");
     assert!(r.duration >= SimDuration::from_secs(60));
 }
@@ -63,7 +63,7 @@ fn sustained_perf_run_heats_device() {
     let mut sut = device_sut(Task::ImageSegmentation);
     let t0 = sut.state.thermal.temperature_c();
     let mut log = RunLog::new();
-    let _ = run_single_stream(&mut sut, 128, &TestSettings::default(), &mut log);
+    let _ = run_single_stream(&mut sut, 128, &TestSettings::default(), &mut log, None);
     let t1 = sut.state.thermal.temperature_c();
     assert!(t1 > t0 + 5.0, "60s of segmentation should heat the SoC: {t0} -> {t1}");
     // Cooldown (rules allow up to 5 minutes) restores headroom.
@@ -84,7 +84,7 @@ fn hot_ambient_produces_worse_scores() {
         let mut sut =
             DeviceSut::new(soc.clone(), deployment, &def, DatasetScale::Reduced(64), 1, ambient);
         let mut log = RunLog::new();
-        run_single_stream(&mut sut, 64, &TestSettings::default(), &mut log)
+        run_single_stream(&mut sut, 64, &TestSettings::default(), &mut log, None)
     };
     let cool = run_at(22.0).latency.unwrap();
     let hot = run_at(48.0).latency.unwrap();
@@ -106,7 +106,7 @@ fn checker_rejects_shortened_runs() {
         min_duration: SimDuration::from_millis(10),
         ..TestSettings::default()
     };
-    let _ = run_single_stream(&mut sut, 128, &short_run, &mut log);
+    let _ = run_single_stream(&mut sut, 128, &short_run, &mut log, None);
     let violations = check_log(&log, &TestSettings::default());
     assert!(violations.iter().any(|v| matches!(v, Violation::TooFewQueries { .. })));
 }
@@ -125,7 +125,7 @@ fn benchmark_flow_runs_accuracy_before_performance() {
         &def,
         &RunRules::smoke_test(),
         DatasetScale::Reduced(64),
-        false,
+        ScenarioMix::offline_only(false),
     )
     .unwrap();
     assert!(score.accuracy > 0.0, "accuracy phase produced a score");
@@ -137,7 +137,7 @@ fn device_description_flows_into_log() {
     let mut sut = device_sut(Task::ImageClassification);
     let desc = sut.description();
     let mut log = RunLog::new();
-    let _ = run_single_stream(&mut sut, 64, &TestSettings::smoke_test(), &mut log);
+    let _ = run_single_stream(&mut sut, 64, &TestSettings::smoke_test(), &mut log, None);
     let text = log.to_json_lines();
     assert!(text.contains("Dimensity 1100"), "{desc} should appear in the log");
 }
