@@ -100,26 +100,19 @@ trace:
 profile:
 	$(CARGO) run --release -p mlperf-bench --bin reproduce -- all --profile out/profile
 
-## Serial-vs-parallel suite sweep, the planned-vs-unplanned query hot
-## loop, the serial-vs-sweep ablation artifact, the batched lockstep
-## executor lane sweep, the fleet population sweep, the auto-tuner
-## search bench, and the BENCH_query.json / BENCH_ablations.json /
-## BENCH_batch.json / BENCH_fleet.json speedup reports. The tuner's
-## end-to-end numbers come from `perfbench --workload tune`.
+## Performance: the repo benchmark (every perfbench workload end to
+## end; BENCHMARK.json names the metrics and bounds), then criterion
+## microbenches of the three layers its traced runs show are hot: the
+## query hot loop (`submission`), batched lanes (`fleet`) and the tuner
+## search (`tune`).
 bench:
-	$(CARGO) bench -p mlperf-bench --bench suite_sweep
+	$(CARGO) run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --workload all
 	$(CARGO) bench -p mlperf-bench --bench query_hot_loop
-	$(CARGO) bench -p mlperf-bench --bench ablation_sweep
 	$(CARGO) bench -p mlperf-bench --bench batch_lanes
-	$(CARGO) bench -p mlperf-bench --bench fleet_throughput
 	$(CARGO) bench -p mlperf-bench --bench tune_search
-	$(CARGO) run --release -p mlperf-bench --bin bench_query
-	$(CARGO) run --release -p mlperf-bench --bin bench_ablations
-	$(CARGO) run --release -p mlperf-bench --bin bench_batch
-	$(CARGO) run --release -p mlperf-bench --bin bench_fleet
 
-## Regenerate every paper artifact; writes BENCH_suite.json with
-## per-table wall-clock and compile-cache counters.
+## Regenerate every paper artifact (`make trace` also records each
+## artifact's wall-clock and cache counters).
 reproduce:
 	$(CARGO) run --release -p mlperf-bench --bin reproduce
 

@@ -6,18 +6,18 @@
 //! only the affected plan arrays ([`SweepPlan`]/[`PlanDelta`]), equal
 //! schedules at adjacent knob values share one lowering, batched sweeps
 //! reuse one [`OfflinePlan`], and independent cells evaluate under
-//! [`par_map`] with order-preserving assembly. The [`serial`] module keeps
-//! the straight-line full-recompile implementations as the oracle: the
-//! byte-identity tests below assert every report's output matches them
-//! exactly, and `bench_ablations` measures the speedup against them.
+//! [`par_map`] with order-preserving assembly. The test-only `serial`
+//! module keeps the straight-line full-recompile implementations as the
+//! oracle: the byte-identity tests below assert every report's output,
+//! and the assembled [`all_ablations`] artifact, matches them exactly.
 
-use crate::{cache, trace_sink, tracing, worker_threads};
+use crate::{cache, trace_sink, tracing};
 use mlperf_mobile::ai_tax::host_stage_time;
 use mlperf_mobile::harness::{run_benchmark_planned, RunRules, ScenarioMix};
 use mlperf_mobile::metrics::metrics;
 use mlperf_mobile::report::render_table;
-use mlperf_mobile::runner::par_map;
-use mlperf_mobile::sut_impl::{DatasetScale, PlannedDeployment};
+use mlperf_mobile::runner::{default_threads, par_map};
+use mlperf_mobile::sut_impl::DatasetScale;
 use mlperf_mobile::task::{suite, BenchmarkDef, SuiteVersion};
 use mobile_backend::backend::{Backend, BackendId};
 use mobile_backend::backends::Enn;
@@ -32,7 +32,6 @@ use soc_sim::executor::estimate_query_secs;
 use soc_sim::plan::{OfflinePlan, PlanDelta, SweepPlan};
 use soc_sim::schedule::Schedule;
 use soc_sim::soc::Soc;
-use std::sync::{Arc, Mutex};
 
 /// Estimates each schedule's single-query latency (ms), lowering each
 /// *distinct* schedule once: adjacent knob values often saturate to the
@@ -82,7 +81,7 @@ pub fn ablation_sync_overhead() -> String {
     let sched = partition(&graph, &soc, &plan).expect("partitions");
     let sweep = SweepPlan::new(&soc, &graph, &sched);
     metrics().record_sweep_miss();
-    let rows = par_map(&sync_values, worker_threads(), |&sync_us| {
+    let rows = par_map(&sync_values, default_threads(), |&sync_us| {
         metrics().record_sweep_hit();
         let ms = sweep.estimate_query_secs(PlanDelta::SyncOverheadUs(sync_us)) * 1e3;
         vec![
@@ -108,7 +107,7 @@ pub fn ablation_merge_window() -> String {
     let windows = [0usize, 1, 2, 3, 4, 8];
     // The window changes placement, so each knob partitions — in
     // parallel — but equal schedules share one lowering.
-    let scheds = par_map(&windows, worker_threads(), |&window| {
+    let scheds = par_map(&windows, default_threads(), |&window| {
         let plan = PartitionPlan {
             primary: Target { engine: npu, dtype: DataType::I8 },
             fallbacks: vec![
@@ -150,7 +149,7 @@ pub fn ablation_sticky_fallback() -> String {
     let npu = soc.engine_of_kind(EngineKind::Npu).expect("has NPU");
     let gpu = soc.engine_of_kind(EngineKind::Gpu).expect("has GPU");
     let stickies = [0usize, 2, 4, 6, 10, 20];
-    let scheds = par_map(&stickies, worker_threads(), |&sticky| {
+    let scheds = par_map(&stickies, default_threads(), |&sticky| {
         let plan = PartitionPlan {
             primary: Target { engine: npu, dtype: DataType::I8 },
             fallbacks: vec![
@@ -201,7 +200,7 @@ pub fn ablation_interconnect() -> String {
     // rank candidates by estimated latency), so each knob still compiles
     // — in parallel. But when two knobs choose the same schedule, the
     // later estimate is a bandwidth delta on the earlier lowering.
-    let compiled = par_map(&gbps_values, worker_threads(), |&gbps| {
+    let compiled = par_map(&gbps_values, default_threads(), |&gbps| {
         let mut soc = base.clone();
         soc.interconnect.transfer_gbps = gbps;
         let dep = Enn.compile(&reference, &soc).expect("compiles");
@@ -246,7 +245,7 @@ pub fn ablation_batch_size() -> String {
     // on their own thermal states.
     let plan = OfflinePlan::new(&soc, &dep.graph, &dep.offline_streams);
     metrics().record_sweep_miss();
-    let rows = par_map(&[1usize, 2, 8, 32, 128], worker_threads(), |&batch| {
+    let rows = par_map(&[1usize, 2, 8, 32, 128], default_threads(), |&batch| {
         metrics().record_sweep_hit();
         let mut state = soc.new_state(22.0);
         let r = plan.execute(&mut state, 8192, batch);
@@ -269,7 +268,7 @@ pub fn end_to_end_tax() -> String {
         .collect();
     let rows: Vec<Vec<String>> = par_map(
         &cells,
-        worker_threads(),
+        default_threads(),
         |(chip, def): &(ChipId, BenchmarkDef)| -> Option<Vec<String>> {
             let soc = cache().soc(*chip);
             let backend =
@@ -309,7 +308,7 @@ pub fn extensions_report() -> String {
         .collect();
     let rows: Vec<Vec<String>> = par_map(
         &cells,
-        worker_threads(),
+        default_threads(),
         |(chip, def): &(ChipId, BenchmarkDef)| -> Option<Vec<String>> {
             let soc = cache().soc(*chip);
             let backend = vendor_backend(&soc).expect("vendor backend");
@@ -348,7 +347,7 @@ pub fn power_report() -> String {
     // (task, scale, seed, quality) input.
     let rows: Vec<Vec<String>> = par_map(
         &cells,
-        worker_threads(),
+        default_threads(),
         |(chip, def): &(ChipId, BenchmarkDef)| -> Option<Vec<String>> {
             let backend =
                 mlperf_mobile::app::submission_backend(*chip, SuiteVersion::V1_0, def.task);
@@ -412,50 +411,21 @@ pub fn power_report() -> String {
     )
 }
 
-/// Per-sub-report wall-clock of the most recent [`all_ablations`] call,
-/// drained by `reproduce` into `BENCH_suite.json`'s ablation breakdown.
-static BREAKDOWN: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
-
-/// Removes and returns the per-sub-report wall-clock entries the last
-/// [`all_ablations`] call recorded (report order).
-///
-/// # Panics
-///
-/// Panics if the breakdown mutex was poisoned by a panicking worker.
-#[must_use]
-pub fn take_ablation_breakdown() -> Vec<(String, f64)> {
-    std::mem::take(&mut *BREAKDOWN.lock().unwrap())
-}
-
-/// Every ablation and extension artifact, each sub-report individually
-/// timed (see [`take_ablation_breakdown`]) and evaluated in parallel with
+/// Every ablation and extension artifact, evaluated in parallel with
 /// order-preserving assembly.
 #[must_use]
 pub fn all_ablations() -> String {
-    type SubReport = (&'static str, fn() -> String);
-    let parts: [SubReport; 8] = [
-        ("sync_overhead", ablation_sync_overhead),
-        ("merge_window", ablation_merge_window),
-        ("sticky_fallback", ablation_sticky_fallback),
-        ("interconnect", ablation_interconnect),
-        ("batch_size", ablation_batch_size),
-        ("end_to_end_tax", end_to_end_tax),
-        ("extensions", extensions_report),
-        ("power", power_report),
+    let parts: [fn() -> String; 8] = [
+        ablation_sync_overhead,
+        ablation_merge_window,
+        ablation_sticky_fallback,
+        ablation_interconnect,
+        ablation_batch_size,
+        end_to_end_tax,
+        extensions_report,
+        power_report,
     ];
-    let timed = par_map(&parts, worker_threads(), |&(name, f)| {
-        let t = std::time::Instant::now();
-        let text = f();
-        (name.to_owned(), text, t.elapsed().as_secs_f64() * 1e3)
-    });
-    let mut breakdown = Vec::with_capacity(timed.len());
-    let mut texts = Vec::with_capacity(timed.len());
-    for (name, text, wall_ms) in timed {
-        breakdown.push((name, wall_ms));
-        texts.push(text);
-    }
-    *BREAKDOWN.lock().unwrap() = breakdown;
-    texts.join("\n")
+    par_map(&parts, default_threads(), |f| f()).join("\n")
 }
 
 /// The pre-sweep-engine implementations, verbatim: every knob fully
@@ -463,17 +433,19 @@ pub fn all_ablations() -> String {
 /// every harness run recompiles its plans.
 ///
 /// Kept as the reference the sweep engine is held to: the byte-identity
-/// tests assert each parallel/delta-lowered report above renders the
-/// exact same string, and `bench_ablations` measures the speedup against
-/// these.
-pub mod serial {
+/// tests assert each parallel/delta-lowered report above, and the
+/// assembled [`super::all_ablations`], renders the exact same string.
+#[cfg(test)]
+mod serial {
     use super::{
         cache, host_stage_time, partition, render_table, retype, run_benchmark_planned, suite,
-        trace_sink, tracing, vendor_backend, Arc, Backend, BackendId, ChipId, DataType,
-        DatasetScale, Enn, EngineKind, FallbackPolicy, ModelId, PartitionPlan, PlannedDeployment,
-        RunRules, ScenarioMix, SuiteVersion, Target,
+        trace_sink, tracing, vendor_backend, Backend, BackendId, ChipId, DataType, DatasetScale,
+        Enn, EngineKind, FallbackPolicy, ModelId, PartitionPlan, RunRules, ScenarioMix,
+        SuiteVersion, Target,
     };
+    use mlperf_mobile::sut_impl::PlannedDeployment;
     use soc_sim::executor::{estimate_query_secs, run_offline};
+    use std::sync::Arc;
 
     /// Serial [`super::ablation_sync_overhead`]: partitions and lowers per
     /// knob.
@@ -810,6 +782,7 @@ mod tests {
             ("batch", ablation_batch_size, serial::ablation_batch_size),
             ("tax", end_to_end_tax, serial::end_to_end_tax),
             ("extensions", extensions_report, serial::extensions_report),
+            ("all", all_ablations, serial::all_ablations),
         ] {
             assert_eq!(sweep(), serial(), "{name} diverged from the serial oracle");
         }
@@ -822,16 +795,5 @@ mod tests {
     #[test]
     fn power_report_matches_serial_byte_for_byte() {
         assert_eq!(power_report(), serial::power_report());
-    }
-
-    #[test]
-    fn all_ablations_records_breakdown() {
-        let text = all_ablations();
-        assert!(text.contains("Ablation"));
-        let breakdown = take_ablation_breakdown();
-        assert_eq!(breakdown.len(), 8);
-        assert_eq!(breakdown[0].0, "sync_overhead");
-        assert!(breakdown.iter().all(|(_, ms)| *ms >= 0.0));
-        assert!(take_ablation_breakdown().is_empty(), "drain empties the sink");
     }
 }

@@ -8,11 +8,6 @@
 //! cargo run --release -p mlperf-bench --bin reproduce -- explain out/table3.json
 //! ```
 //!
-//! `reproduce all` (or `reproduce` with no argument) also writes
-//! `BENCH_suite.json` to the current directory: the wall-clock spent on
-//! each artifact plus the shared compile-cache hit/miss counters, so perf
-//! regressions in the sweep are visible run over run.
-//!
 //! With `--trace <dir>`, per-query run tracing is switched on and one JSON
 //! trace file per artifact is written to `<dir>`: the artifact's
 //! wall-clock, its metrics-registry delta (compile cache, run/query
@@ -37,59 +32,22 @@
 //! report). `--serve <addr>` starts the live observability endpoint
 //! (`/metrics`, `/healthz`, `/runs`) for the duration of the run;
 //! `--serve-addr-file <path>` writes the bound address (useful with
-//! `:0`), and `--serve-hold-ms <n>` keeps serving that long after the
+//! `:0`; missing parent directories are created, and a failed write
+//! exits 1), and `--serve-hold-ms <n>` keeps serving that long after the
 //! artifacts finish so scrapers can catch a short run. None of these
 //! change any printed report or score.
 
 use mlperf_mobile::metrics::metrics;
 use mlperf_mobile::obs;
 use mlperf_mobile::profile::{benchmark_perfetto_json, ArtifactTrace};
-use serde::Serialize;
 use std::env;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Wall-clock for one artifact, as recorded in `BENCH_suite.json`.
-#[derive(Serialize)]
-struct ArtifactTiming {
-    name: &'static str,
-    wall_ms: f64,
-}
-
-/// Compile-cache counters accumulated over the whole `all` sweep.
-#[derive(Serialize)]
-struct CacheStats {
-    hits: usize,
-    misses: usize,
-}
-
-/// Per-sub-report wall-clock inside the `ablations` artifact.
-#[derive(Serialize)]
-struct AblationTiming {
-    name: String,
-    wall_ms: f64,
-}
-
-/// The `BENCH_suite.json` schema.
-#[derive(Serialize)]
-struct SuiteTimings {
-    artifacts: Vec<ArtifactTiming>,
-    /// Wall-clock of each sub-report inside the `ablations` artifact
-    /// (sync/merge/sticky/interconnect/batch sweeps, tax, extensions,
-    /// power), in report order.
-    ablation_breakdown: Vec<AblationTiming>,
-    total_wall_ms: f64,
-    compile_cache: CacheStats,
-    /// Sweep-engine cache counters (delta re-lowerings, schedule-equality
-    /// estimate reuse, shared accuracy scores) over the whole sweep.
-    sweep_cache: CacheStats,
-}
-
 /// An artifact name and its generator.
 type Artifact = (&'static str, fn() -> String);
 
-/// Every artifact, in report order. The closure indirection keeps the
-/// timing loop uniform.
+/// Every artifact `reproduce all` runs, in report order.
 const ARTIFACTS: &[Artifact] = &[
     ("table1", mlperf_bench::table1),
     ("table2", mlperf_bench::table2),
@@ -128,7 +86,7 @@ fn write_file(path: &Path, contents: &str, what: &str) {
 /// queued, and every harness trace it deposited in the sink. In profile
 /// mode the Perfetto timeline and the rendered profile report are written
 /// alongside.
-fn run_artifact(name: &str, f: fn() -> String, out: Option<(&Path, bool)>) -> (String, f64) {
+fn run_artifact(name: &str, f: fn() -> String, out: Option<(&Path, bool)>) -> String {
     // One suite-level span per artifact; covers the generator and the
     // trace-file writes so the self-profile accounts the full wall-clock.
     let _suite_span = obs::span::span(obs::span::Phase::Suite, || name.to_owned());
@@ -164,44 +122,14 @@ fn run_artifact(name: &str, f: fn() -> String, out: Option<(&Path, bool)>) -> (S
             );
         }
     }
-    (text, wall_ms)
+    text
 }
 
 fn run_all(out: Option<(&Path, bool)>) -> String {
     let mut text = String::new();
-    let mut timings = Vec::new();
-    let total = Instant::now();
     for (name, f) in ARTIFACTS {
-        let (artifact_text, wall_ms) = run_artifact(name, *f, out);
-        text.push_str(&artifact_text);
+        text.push_str(&run_artifact(name, *f, out));
         text.push('\n');
-        timings.push(ArtifactTiming { name, wall_ms });
-    }
-    let total_ms = total.elapsed().as_secs_f64() * 1e3;
-    let _report_span =
-        obs::span::span(obs::span::Phase::Report, || "BENCH_suite.json".to_owned());
-    let cache = mlperf_bench::cache();
-    let sweep = metrics().snapshot();
-    let suite_json = SuiteTimings {
-        artifacts: timings,
-        ablation_breakdown: mlperf_bench::take_ablation_breakdown()
-            .into_iter()
-            .map(|(name, wall_ms)| AblationTiming { name, wall_ms })
-            .collect(),
-        total_wall_ms: total_ms,
-        compile_cache: CacheStats { hits: cache.hits(), misses: cache.misses() },
-        sweep_cache: CacheStats { hits: sweep.sweep_hits, misses: sweep.sweep_misses },
-    };
-    match std::fs::write(
-        "BENCH_suite.json",
-        serde_json::to_string_pretty(&suite_json).expect("serializes") + "\n",
-    ) {
-        Ok(()) => eprintln!(
-            "wrote BENCH_suite.json ({total_ms:.0} ms total, compile cache {} hits / {} misses)",
-            cache.hits(),
-            cache.misses()
-        ),
-        Err(e) => eprintln!("could not write BENCH_suite.json: {e}"),
     }
     text
 }
@@ -364,7 +292,17 @@ fn main() {
         Ok(server) => {
             eprintln!("serving /metrics /healthz /runs on http://{}", server.addr());
             if let Some(path) = &serve_addr_file {
-                write_file(path, &format!("{}\n", server.addr()), "bound address");
+                // Scrapers poll this file, so its directory is created and
+                // a failed write ends the run instead of serving unseen.
+                let written = path
+                    .parent()
+                    .map_or(Ok(()), std::fs::create_dir_all)
+                    .and_then(|()| std::fs::write(path, format!("{}\n", server.addr())));
+                if let Err(e) = written {
+                    eprintln!("could not write {}: {e}", path.display());
+                    std::process::exit(1);
+                }
+                eprintln!("wrote {} (bound address)", path.display());
             }
             server
         }
@@ -380,7 +318,7 @@ fn main() {
     let text = if which == "all" {
         run_all(out)
     } else if let Some(f) = generator_for(&which) {
-        run_artifact(&which, f, out).0
+        run_artifact(&which, f, out)
     } else {
         eprintln!("unknown artifact {which:?}");
         usage_exit();

@@ -4,6 +4,7 @@
 
 use crate::cache;
 use mlperf_mobile::report::render_table;
+use mlperf_mobile::runner::{default_threads, par_map};
 use mlperf_mobile::task::{suite, SuiteVersion, Task};
 use mobile_backend::backend::{Backend, BackendId};
 use mobile_backend::backends::Nnapi;
@@ -183,7 +184,7 @@ pub fn insight5() -> String {
 #[must_use]
 pub fn all_insights() -> String {
     let insights: [fn() -> String; 5] = [insight1, insight2, insight3, insight4, insight5];
-    mlperf_mobile::runner::par_map(&insights, crate::worker_threads(), |f| f()).join("\n")
+    par_map(&insights, default_threads(), |f| f()).join("\n")
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! Each `table*`/`figure*` function runs the benchmark pipeline and
 //! renders the same rows/series the paper reports, annotated with the
 //! published values where the paper states them. Invoked by the
-//! `reproduce` binary and the `reproduce_tables` bench target.
+//! `reproduce` binary.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -17,13 +17,13 @@ pub use insights::all_insights;
 pub use ablations::{
     ablation_batch_size, ablation_interconnect, ablation_merge_window,
     ablation_sticky_fallback, ablation_sync_overhead, all_ablations, end_to_end_tax,
-    extensions_report, power_report, take_ablation_breakdown,
+    extensions_report, power_report,
 };
 
 use mlperf_mobile::harness::{run_benchmark_planned, RunRules, ScenarioMix};
 use mlperf_mobile::metrics::TraceCollector;
 use mlperf_mobile::report::render_table;
-use mlperf_mobile::runner::CompileCache;
+use mlperf_mobile::runner::{default_threads, par_map, CompileCache};
 use mlperf_mobile::sut_impl::DatasetScale;
 use mlperf_mobile::task::{suite, BenchmarkDef, SuiteVersion, Task};
 use mobile_backend::backend::BackendId;
@@ -39,8 +39,8 @@ use std::sync::OnceLock;
 /// Process-wide compilation cache shared by every table, figure and
 /// insight: the same (chip, backend, model) deployments recur across
 /// artifacts (Figure 6 alone revisits 16 of them), so `reproduce all`
-/// compiles each one exactly once. The `reproduce` binary reports its
-/// hit/miss counters in `BENCH_suite.json`.
+/// compiles each one exactly once. `reproduce --trace` records each
+/// artifact's compile-cache hits and misses in its trace file.
 pub fn cache() -> &'static CompileCache {
     static CACHE: OnceLock<CompileCache> = OnceLock::new();
     CACHE.get_or_init(CompileCache::new)
@@ -71,12 +71,6 @@ pub fn set_tracing(on: bool) {
 #[must_use]
 pub fn tracing() -> bool {
     TRACING.load(Ordering::Relaxed)
-}
-
-/// Worker-thread count for the parallel sweep paths: one per available
-/// core, overridable with `MLPERF_WORKERS`.
-pub(crate) fn worker_threads() -> usize {
-    mlperf_mobile::runner::default_threads()
 }
 
 /// Vendor-path single-stream latency estimate in ms.
@@ -431,9 +425,9 @@ pub fn scenarios() -> String {
     ];
     let cells: Vec<(ChipId, BenchmarkDef)> =
         chips.iter().map(|&chip| (chip, def.clone())).collect();
-    let rows: Vec<Vec<String>> = mlperf_mobile::runner::par_map(
+    let rows: Vec<Vec<String>> = par_map(
         &cells,
-        worker_threads(),
+        default_threads(),
         |(chip, def): &(ChipId, BenchmarkDef)| -> Option<Vec<String>> {
             let backend = mlperf_mobile::app::submission_backend(*chip, version, def.task);
             let planned = cache().planned(*chip, backend, def.model).ok()?;
@@ -491,7 +485,8 @@ pub fn scenarios() -> String {
 ///
 /// Byte-identical for the fixed seed regardless of `MLPERF_WORKERS` —
 /// `make fleet` diffs this text across worker counts. Deliberately not
-/// part of [`all_reports`], so `reproduce all` goldens are unaffected.
+/// in `reproduce all`'s `ARTIFACTS`, so `reproduce all` goldens are
+/// unaffected.
 #[must_use]
 pub fn fleet() -> String {
     let config = mlperf_mobile::fleet::FleetConfig::new(20_000, 7);
@@ -506,31 +501,13 @@ pub fn fleet() -> String {
 /// paper's Insights 2–5 about vendor-SDK scheduling advantages.
 ///
 /// Byte-identical regardless of `MLPERF_WORKERS` — `make tune` diffs
-/// this text across worker counts. Deliberately not part of
-/// [`all_reports`], so `reproduce all` goldens are unaffected.
+/// this text across worker counts. Deliberately not in `reproduce all`'s
+/// `ARTIFACTS`, so `reproduce all` goldens are unaffected.
 #[must_use]
 pub fn tuning() -> String {
     let config = mlperf_mobile::tuning::TuningConfig::new();
     mlperf_mobile::tuning::tuning_report_text(cache(), &config)
         .expect("catalog submission paths compile")
-}
-
-/// Every reproduction artifact, concatenated (the `reproduce all` output).
-#[must_use]
-pub fn all_reports() -> String {
-    [
-        table1(),
-        table2(),
-        table3(),
-        table4(),
-        figure6(),
-        figure7(),
-        offline_throughput(),
-        laptop(),
-        codepaths(),
-        scenarios(),
-    ]
-    .join("\n")
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   calibrate / plan / execute / search-probe / report) in per-thread
 //!   ring buffers, exported as a Perfetto timeline of the host run with
 //!   one track per pool worker (`reproduce --self-profile DIR`),
-//! - [`shard`]: per-thread sharded counters and mergeable latency
-//!   histograms, so hot-path recording never contends,
+//! - [`shard`]: per-thread sharded, mergeable latency histograms, so
+//!   hot-path recording never contends,
 //! - [`pool`]: the process-wide pool-telemetry singletons and the
 //!   `pool report` section of `profile_report`,
 //! - [`http`]: the hand-rolled `/metrics` + `/healthz` + `/runs`
@@ -33,7 +33,7 @@ pub mod span;
 
 pub use http::{metrics_page, ObsServer};
 pub use pool::{pool, pool_report, run_wall_hist, runs_board, RunEntry, RunsBoard};
-pub use shard::{ShardedCounter, ShardedHistogram};
+pub use shard::ShardedHistogram;
 pub use span::{
     drain, enabled, self_profile_perfetto_json, set_enabled, set_track, span, HostSpan, Phase,
     SelfProfile, SpanGuard, AUX_TRACK, MAIN_TRACK,

@@ -1,12 +1,11 @@
-//! Streaming shard-merge metric primitives.
+//! Streaming shard-merge histograms.
 //!
-//! The runner pool and the (future) fleet loops record metrics from many
-//! threads at once; a single mutex-guarded counter or histogram would
-//! serialize exactly the threads the pool exists to parallelize. The
-//! primitives here shard state across cache-line-padded slots — each
-//! thread hashes to a stable shard on first use and keeps hitting it —
-//! so hot-path recording never contends, and readers pay the merge cost
-//! instead: [`ShardedCounter::value`] sums the shards,
+//! Runner-pool workers record run wall-clocks from many threads at once;
+//! a single mutex-guarded histogram would serialize exactly the threads
+//! the pool exists to parallelize. [`ShardedHistogram`] shards its state
+//! across per-thread slots — each thread hashes to a stable shard on
+//! first use and keeps hitting it — so hot-path recording never
+//! contends, and readers pay the merge cost instead:
 //! [`ShardedHistogram::merged`] folds the shards through
 //! [`LatencyHistogram::merge`] (property-tested bucket-exact against a
 //! single histogram fed the concatenated stream).
@@ -14,20 +13,15 @@
 //! Reads are *consistent in the streaming sense*: concurrent recorders
 //! may land on either side of a read, but every read is monotone
 //! non-decreasing in each shard, which is exactly the contract Prometheus
-//! counters need.
+//! summaries need.
 
 use mobile_metrics::hist::LatencyHistogram;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of shards. Plenty for the pool sizes the runner uses (the
 /// host's core count), small enough that merging stays trivial.
 pub const SHARDS: usize = 16;
-
-/// Cache-line padding so neighbouring shards don't false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
 
 fn shard_id() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -35,56 +29,6 @@ fn shard_id() -> usize {
         static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
     }
     SHARD.with(|s| *s)
-}
-
-/// A monotone counter sharded across padded atomics: `add` touches only
-/// the calling thread's shard; `value` sums all shards.
-#[derive(Debug, Default)]
-pub struct ShardedCounter {
-    shards: [PaddedU64; SHARDS],
-}
-
-impl ShardedCounter {
-    /// A zeroed counter.
-    #[must_use]
-    pub const fn new() -> Self {
-        ShardedCounter {
-            shards: [
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-                PaddedU64(AtomicU64::new(0)),
-            ],
-        }
-    }
-
-    /// Adds `n` on the calling thread's shard.
-    pub fn add(&self, n: u64) {
-        self.shards[shard_id()].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The merged total across all shards.
-    #[must_use]
-    pub fn value(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
 }
 
 /// A [`LatencyHistogram`] sharded across per-thread slots: `record` locks
@@ -129,23 +73,6 @@ impl ShardedHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_sums_across_threads() {
-        let counter = ShardedCounter::new();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        counter.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.value(), 8_000);
-        counter.add(5);
-        assert_eq!(counter.value(), 8_005);
-    }
 
     #[test]
     fn sharded_histogram_matches_single_stream() {
