@@ -532,35 +532,6 @@ pub fn run_benchmark(
     Ok(run_benchmark_planned(chip, soc, planned, def, rules, scale, mix, None))
 }
 
-/// Runs the single-stream performance scenario over K lockstep device
-/// lanes of one deployment, returning one [`PerformanceResult`] per lane.
-///
-/// This is the batched counterpart of the single-stream leg of
-/// [`run_benchmark_planned`]: one pass over the compiled op arrays
-/// advances every in-flight lane per query step
-/// ([`soc_sim::plan_batch::BatchPlan`]), which is what makes fleet-scale
-/// population sweeps tractable. Lane `k`'s result and log are
-/// byte-identical to a scalar [`loadgen::run::run_single_stream`] over
-/// the equivalent [`DeviceSut`] (the `batch_smoke` golden test diffs the
-/// bytes). Records the `plan_batch_runs` / `plan_batch_lanes_executed`
-/// counters in the [`metrics`] registry.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or `logs` does not provide one log per
-/// lane.
-pub fn run_single_stream_lanes(
-    sut: &mut crate::sut_impl::BatchDeviceSut,
-    dataset_len: usize,
-    settings: &TestSettings,
-    logs: &mut [RunLog],
-) -> Vec<PerformanceResult> {
-    let before = sut.lanes_executed();
-    let results = loadgen::run::run_single_stream_batched(sut, dataset_len, settings, logs);
-    metrics().record_plan_batch_run(sut.lanes_executed() - before);
-    results
-}
-
 /// Accuracy-mode scores keyed by everything the prediction + scoring
 /// pipeline reads, shared process-wide across chips and backends.
 static ACCURACY_SCORES: OnceLock<Mutex<HashMap<String, f64>>> = OnceLock::new();

@@ -13,8 +13,8 @@
 //!   selection (Table 2),
 //! - [`runner`]: the parallel suite runner with compilation caching
 //!   (bit-identical to the serial app, many times faster on a sweep),
-//! - [`metrics`]: the process-wide metrics registry and the trace
-//!   collector behind `SuiteRunner::with_trace`,
+//! - [`metrics`](mod@metrics): the process-wide metrics registry and the
+//!   trace collector behind `SuiteRunner::with_trace`,
 //! - [`profile`]: trace analysis & export — Perfetto timelines, engine
 //!   occupancy and energy attribution, Prometheus exposition,
 //! - [`obs`]: harness self-observability — wall-clock span tracing of
@@ -26,8 +26,8 @@
 //! - [`tuning`]: the heuristic-vs-optimal scheduling-gap artifact —
 //!   the schedule auto-tuner run over the benchmark matrix, quantifying
 //!   what vendor placement heuristics leave on the table,
-//! - [`audit`]: submission validation and independent reproduction
-//!   (Section 6.2),
+//! - [`audit`](mod@audit): submission validation and independent
+//!   reproduction (Section 6.2),
 //! - [`related`]: the Table 4 comparison matrix,
 //! - [`report`]: plain-text result rendering.
 //!
@@ -78,7 +78,7 @@ pub use fleet::{
 };
 pub use submission::{Date, SubmissionEntry, SubmissionRegistry};
 pub use audit::{audit, AuditFinding, AuditReport, SubmissionPackage};
-pub use harness::{run_benchmark, run_single_stream_lanes, BenchmarkScore, BenchmarkTrace, RunRules};
+pub use harness::{run_benchmark, BenchmarkScore, BenchmarkTrace, RunRules};
 pub use harness::{EngineActivity, RunEnergy};
 pub use metrics::{metrics, MetricsRegistry, MetricsSnapshot, SpecTiming, TraceCollector};
 pub use obs::{ObsServer, SelfProfile};
@@ -86,6 +86,6 @@ pub use profile::{
     benchmark_perfetto_json, profile_report, prometheus_exposition, ArtifactTrace, CellProfile,
 };
 pub use runner::{par_map, CompileCache, RunSpec, SuiteRunner};
-pub use sut_impl::{BatchDeviceSut, DatasetScale, DeviceSut, Prediction, TaskData};
+pub use sut_impl::{DatasetScale, DeviceSut, Prediction, TaskData};
 pub use task::{suite, BenchmarkDef, SuiteVersion, Task};
 pub use tuning::{render_tuning_report, run_tuning, tuning_report_text, TuningConfig, TuningReport};

@@ -38,12 +38,6 @@ pub struct MetricsSnapshot {
     pub plan_hits: usize,
     /// Query-plan lookups that triggered a plan compilation.
     pub plan_misses: usize,
-    /// Batched single-stream runs completed through the lockstep plan
-    /// executor.
-    pub plan_batch_runs: usize,
-    /// Lane-queries executed by the batched plan executor (K lanes per
-    /// step count K).
-    pub plan_batch_lanes_executed: u64,
     /// Fleet devices fully simulated (sampled, executed or replayed,
     /// and scored) by the fleet executor.
     pub fleet_devices_simulated: u64,
@@ -85,10 +79,6 @@ impl MetricsSnapshot {
             compile_misses: self.compile_misses.saturating_sub(earlier.compile_misses),
             plan_hits: self.plan_hits.saturating_sub(earlier.plan_hits),
             plan_misses: self.plan_misses.saturating_sub(earlier.plan_misses),
-            plan_batch_runs: self.plan_batch_runs.saturating_sub(earlier.plan_batch_runs),
-            plan_batch_lanes_executed: self
-                .plan_batch_lanes_executed
-                .saturating_sub(earlier.plan_batch_lanes_executed),
             fleet_devices_simulated: self
                 .fleet_devices_simulated
                 .saturating_sub(earlier.fleet_devices_simulated),
@@ -114,8 +104,6 @@ pub struct MetricsRegistry {
     compile_misses: AtomicUsize,
     plan_hits: AtomicUsize,
     plan_misses: AtomicUsize,
-    plan_batch_runs: AtomicUsize,
-    plan_batch_lanes_executed: AtomicU64,
     fleet_devices_simulated: AtomicU64,
     fleet_lanes_deduped: AtomicU64,
     sweep_hits: AtomicUsize,
@@ -150,13 +138,6 @@ impl MetricsRegistry {
     /// Records one plan-cache miss (a real plan compilation).
     pub fn record_plan_miss(&self) {
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed batched single-stream run and the
-    /// lane-queries it executed through the lockstep plan executor.
-    pub fn record_plan_batch_run(&self, lanes_executed: u64) {
-        self.plan_batch_runs.fetch_add(1, Ordering::Relaxed);
-        self.plan_batch_lanes_executed.fetch_add(lanes_executed, Ordering::Relaxed);
     }
 
     /// Records one processed fleet shard: the devices it scored and the
@@ -231,8 +212,6 @@ impl MetricsRegistry {
             compile_misses: self.compile_misses.load(Ordering::Relaxed),
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            plan_batch_runs: self.plan_batch_runs.load(Ordering::Relaxed),
-            plan_batch_lanes_executed: self.plan_batch_lanes_executed.load(Ordering::Relaxed),
             fleet_devices_simulated: self.fleet_devices_simulated.load(Ordering::Relaxed),
             fleet_lanes_deduped: self.fleet_lanes_deduped.load(Ordering::Relaxed),
             sweep_hits: self.sweep_hits.load(Ordering::Relaxed),
@@ -349,8 +328,6 @@ mod tests {
         r.record_sweep_miss();
         r.record_run(100);
         r.record_throttling(5, 1);
-        r.record_plan_batch_run(64);
-        r.record_plan_batch_run(32);
         r.record_fleet_shard(2048, 700);
         r.record_fleet_shard(1024, 300);
         r.record_tuned_miss();
@@ -363,8 +340,6 @@ mod tests {
         assert_eq!(delta.compile_misses, 0);
         assert_eq!(delta.plan_hits, 2);
         assert_eq!(delta.plan_misses, 0);
-        assert_eq!(delta.plan_batch_runs, 2);
-        assert_eq!(delta.plan_batch_lanes_executed, 96);
         assert_eq!(delta.fleet_devices_simulated, 3072);
         assert_eq!(delta.fleet_lanes_deduped, 1000);
         assert_eq!(delta.sweep_hits, 2);

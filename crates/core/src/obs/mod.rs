@@ -9,14 +9,14 @@
 //! harness can be profiled without perturbing scores; this module
 //! reproduces that separation one level up, for our own runner.
 //!
-//! - [`span`]: hierarchical wall-clock spans (suite → cell → compile /
-//!   calibrate / plan / execute / search-probe / report) in per-thread
-//!   ring buffers, exported as a Perfetto timeline of the host run with
-//!   one track per pool worker (`reproduce --self-profile DIR`),
+//! - [`span`](mod@span): hierarchical wall-clock spans (suite → cell →
+//!   compile / calibrate / plan / execute / search-probe / report) in
+//!   per-thread ring buffers, exported as a Perfetto timeline of the host
+//!   run with one track per pool worker (`reproduce --self-profile DIR`),
 //! - [`shard`]: per-thread sharded, mergeable latency histograms, so
 //!   hot-path recording never contends,
-//! - [`pool`]: the process-wide pool-telemetry singletons and the
-//!   `pool report` section of `profile_report`,
+//! - [`pool`](mod@pool): the process-wide pool-telemetry singletons and
+//!   the `pool report` section of `profile_report`,
 //! - [`http`]: the hand-rolled `/metrics` + `/healthz` + `/runs`
 //!   endpoint (`reproduce --serve ADDR`).
 //!

@@ -111,8 +111,9 @@ fn rate(hits: usize, misses: usize) -> String {
 }
 
 /// Renders the pool report: per-worker occupancy (tasks, busy time, share
-/// of total busy time, steals) and per-cache-layer hit rates. Pure
-/// function of its inputs, deterministic bytes.
+/// of total busy time, steals) and the hit rate of each cache layer
+/// (compile, plan, sweep, tuned). Pure function of its inputs,
+/// deterministic bytes.
 #[must_use]
 pub fn pool_report(pool: &PoolSnapshot, metrics: &MetricsSnapshot) -> String {
     let mut out = String::from("pool report\n");
@@ -143,27 +144,18 @@ pub fn pool_report(pool: &PoolSnapshot, metrics: &MetricsSnapshot) -> String {
         }
     }
     out.push_str("  cache layers:\n");
-    let _ = writeln!(
-        out,
-        "    compile {:>6} hit rate ({} hits / {} misses)",
-        rate(metrics.compile_hits, metrics.compile_misses),
-        metrics.compile_hits,
-        metrics.compile_misses,
-    );
-    let _ = writeln!(
-        out,
-        "    plan    {:>6} hit rate ({} hits / {} misses)",
-        rate(metrics.plan_hits, metrics.plan_misses),
-        metrics.plan_hits,
-        metrics.plan_misses,
-    );
-    let _ = writeln!(
-        out,
-        "    sweep   {:>6} hit rate ({} hits / {} misses)",
-        rate(metrics.sweep_hits, metrics.sweep_misses),
-        metrics.sweep_hits,
-        metrics.sweep_misses,
-    );
+    for (layer, hits, misses) in [
+        ("compile", metrics.compile_hits, metrics.compile_misses),
+        ("plan", metrics.plan_hits, metrics.plan_misses),
+        ("sweep", metrics.sweep_hits, metrics.sweep_misses),
+        ("tuned", metrics.tuned_hits, metrics.tuned_misses),
+    ] {
+        let _ = writeln!(
+            out,
+            "    {layer:<7} {:>6} hit rate ({hits} hits / {misses} misses)",
+            rate(hits, misses),
+        );
+    }
     out
 }
 
@@ -199,6 +191,8 @@ mod tests {
             compile_misses: 1,
             plan_hits: 0,
             plan_misses: 0,
+            tuned_hits: 1,
+            tuned_misses: 3,
             ..MetricsSnapshot::default()
         };
         let report = pool_report(&telemetry.snapshot(), &metrics);
@@ -209,6 +203,7 @@ mod tests {
         assert!(report.contains("queue high-water 7"));
         assert!(report.contains("compile  75.0% hit rate (3 hits / 1 misses)"));
         assert!(report.contains("plan         - hit rate"), "no lookups renders a dash:\n{report}");
+        assert!(report.contains("tuned    25.0% hit rate (1 hits / 3 misses)"), "{report}");
         // Deterministic bytes.
         assert_eq!(report, pool_report(&telemetry.snapshot(), &metrics));
     }

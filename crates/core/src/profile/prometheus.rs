@@ -70,20 +70,6 @@ pub fn prometheus_exposition(snap: &MetricsSnapshot, timings: &[SpecTiming]) -> 
     );
     sample(
         &mut out,
-        "mlperf_plan_batch_runs_total",
-        "Batched single-stream runs completed through the lockstep plan executor.",
-        "counter",
-        snap.plan_batch_runs,
-    );
-    sample(
-        &mut out,
-        "mlperf_plan_batch_lanes_executed_total",
-        "Lane-queries executed by the batched plan executor.",
-        "counter",
-        snap.plan_batch_lanes_executed,
-    );
-    sample(
-        &mut out,
         "mlperf_fleet_devices_simulated_total",
         "Fleet devices fully simulated by the fleet executor.",
         "counter",
@@ -272,8 +258,6 @@ mod tests {
             compile_misses: 1,
             plan_hits: 6,
             plan_misses: 2,
-            plan_batch_runs: 7,
-            plan_batch_lanes_executed: 512,
             fleet_devices_simulated: 4096,
             fleet_lanes_deduped: 300,
             sweep_hits: 9,
@@ -291,44 +275,64 @@ mod tests {
             SpecTiming { label: "a/cls".into(), wall_ms: 1.5 },
             SpecTiming { label: "b/seg".into(), wall_ms: 2.25 },
         ];
-        let text = prometheus_exposition(&snap, &timings);
-        assert!(text.contains("mlperf_queries_issued_total 128"));
-        assert!(text.contains("mlperf_spec_wall_ms{spec=\"a/cls\"} 1.5"));
-        // Every sample line is preceded by HELP and TYPE headers.
-        assert!(text.contains("mlperf_plan_cache_hits_total 6"));
-        assert!(text.contains("mlperf_plan_batch_runs_total 7"));
-        assert!(text.contains("mlperf_plan_batch_lanes_executed_total 512"));
-        assert!(text.contains("mlperf_fleet_devices_simulated_total 4096"));
-        assert!(text.contains("mlperf_fleet_lanes_deduped_total 300"));
-        assert!(text.contains("mlperf_tuned_cache_hits_total 11"));
-        assert!(text.contains("mlperf_tuner_candidates_total 256"));
-        assert!(text.contains("mlperf_tuner_pruned_total 7000"));
-        for name in [
-            "mlperf_compile_cache_hits_total",
-            "mlperf_compile_cache_misses_total",
-            "mlperf_plan_cache_hits_total",
-            "mlperf_plan_cache_misses_total",
-            "mlperf_plan_batch_runs_total",
-            "mlperf_plan_batch_lanes_executed_total",
-            "mlperf_fleet_devices_simulated_total",
-            "mlperf_fleet_lanes_deduped_total",
-            "mlperf_sweep_cache_hits_total",
-            "mlperf_sweep_cache_misses_total",
-            "mlperf_runs_completed_total",
-            "mlperf_queries_issued_total",
-            "mlperf_throttled_queries_total",
-            "mlperf_throttle_events_total",
-            "mlperf_tuned_cache_hits_total",
-            "mlperf_tuned_cache_misses_total",
-            "mlperf_tuner_candidates_total",
-            "mlperf_tuner_pruned_total",
-            "mlperf_spec_wall_ms",
-        ] {
-            assert!(text.contains(&format!("# HELP {name} ")), "{name}");
-            assert!(text.contains(&format!("# TYPE {name} ")), "{name}");
-        }
-        // Deterministic: same inputs, same bytes.
-        assert_eq!(text, prometheus_exposition(&snap, &timings));
+        // Every counter family in declaration order, each a HELP/TYPE
+        // pair plus one sample, then the per-spec gauge in the caller's
+        // order.
+        let expected = "\
+# HELP mlperf_compile_cache_hits_total Deployment lookups answered from a compile cache.
+# TYPE mlperf_compile_cache_hits_total counter
+mlperf_compile_cache_hits_total 3
+# HELP mlperf_compile_cache_misses_total Deployment lookups that triggered a compile.
+# TYPE mlperf_compile_cache_misses_total counter
+mlperf_compile_cache_misses_total 1
+# HELP mlperf_plan_cache_hits_total Query-plan lookups answered from a plan cache.
+# TYPE mlperf_plan_cache_hits_total counter
+mlperf_plan_cache_hits_total 6
+# HELP mlperf_plan_cache_misses_total Query-plan lookups that triggered a plan compilation.
+# TYPE mlperf_plan_cache_misses_total counter
+mlperf_plan_cache_misses_total 2
+# HELP mlperf_fleet_devices_simulated_total Fleet devices fully simulated by the fleet executor.
+# TYPE mlperf_fleet_devices_simulated_total counter
+mlperf_fleet_devices_simulated_total 4096
+# HELP mlperf_fleet_lanes_deduped_total Fleet lane-queries that shared another lane's op-array walk.
+# TYPE mlperf_fleet_lanes_deduped_total counter
+mlperf_fleet_lanes_deduped_total 300
+# HELP mlperf_sweep_cache_hits_total Sweep-engine lookups answered from a sweep cache.
+# TYPE mlperf_sweep_cache_hits_total counter
+mlperf_sweep_cache_hits_total 9
+# HELP mlperf_sweep_cache_misses_total Sweep-engine lookups that had to do the full computation.
+# TYPE mlperf_sweep_cache_misses_total counter
+mlperf_sweep_cache_misses_total 3
+# HELP mlperf_runs_completed_total Benchmark runs completed.
+# TYPE mlperf_runs_completed_total counter
+mlperf_runs_completed_total 4
+# HELP mlperf_queries_issued_total Performance queries issued across all runs.
+# TYPE mlperf_queries_issued_total counter
+mlperf_queries_issued_total 128
+# HELP mlperf_throttled_queries_total Queries dispatched while the device was throttled (traced runs).
+# TYPE mlperf_throttled_queries_total counter
+mlperf_throttled_queries_total 5
+# HELP mlperf_throttle_events_total Transitions into throttling along traced span timelines.
+# TYPE mlperf_throttle_events_total counter
+mlperf_throttle_events_total 2
+# HELP mlperf_tuned_cache_hits_total Tuned-schedule lookups answered from the tuned compile cache.
+# TYPE mlperf_tuned_cache_hits_total counter
+mlperf_tuned_cache_hits_total 11
+# HELP mlperf_tuned_cache_misses_total Tuned-schedule lookups that ran the auto-tuner search.
+# TYPE mlperf_tuned_cache_misses_total counter
+mlperf_tuned_cache_misses_total 4
+# HELP mlperf_tuner_candidates_total Complete schedule candidates exactly evaluated by the auto-tuner.
+# TYPE mlperf_tuner_candidates_total counter
+mlperf_tuner_candidates_total 256
+# HELP mlperf_tuner_pruned_total Partial assignments eliminated by the tuner's admissible bound.
+# TYPE mlperf_tuner_pruned_total counter
+mlperf_tuner_pruned_total 7000
+# HELP mlperf_spec_wall_ms Host wall-clock one run spec took.
+# TYPE mlperf_spec_wall_ms gauge
+mlperf_spec_wall_ms{spec=\"a/cls\"} 1.5
+mlperf_spec_wall_ms{spec=\"b/seg\"} 2.25
+";
+        assert_eq!(prometheus_exposition(&snap, &timings), expected);
     }
 
     #[test]

@@ -188,30 +188,6 @@ impl CompileCache {
         Ok(self.plans.lock().unwrap().entry(key).or_insert(planned).clone())
     }
 
-    /// A lane-ready [`soc_sim::plan_batch::BatchPlan`] for a
-    /// `(chip, backend, model)` triple: the cached query plan fanned out
-    /// to `lanes` lockstep lanes. The underlying op arrays are shared
-    /// with the scalar plan behind the same `Arc`, so handing out batch
-    /// plans costs one overhead-vector allocation, never a re-lowering.
-    ///
-    /// # Errors
-    ///
-    /// Returns the backend's (cached) compile failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or the cache mutex was poisoned.
-    pub fn batch_plan(
-        &self,
-        chip: ChipId,
-        backend: BackendId,
-        model: ModelId,
-        lanes: usize,
-    ) -> Result<soc_sim::plan_batch::BatchPlan, CompileError> {
-        let planned = self.planned(chip, backend, model)?;
-        Ok(soc_sim::plan_batch::BatchPlan::broadcast(Arc::clone(&planned.query), lanes))
-    }
-
     /// The sweep-ready lowering for a `(chip, backend, model)` triple:
     /// shared op arrays plus the cached per-stage lowering inputs, so
     /// [`soc_sim::plan::PlanDelta`] re-lowerings are O(stages) instead of

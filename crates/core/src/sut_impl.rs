@@ -438,122 +438,6 @@ impl SystemUnderTest for PerfDeviceSut {
     }
 }
 
-/// K device lanes of one deployment driven in lockstep through the
-/// batched plan executor.
-///
-/// Where [`DeviceSut`] advances one simulated device per query,
-/// `BatchDeviceSut` advances K — one pass over the compiled op arrays per
-/// query step ([`soc_sim::plan_batch::BatchPlan`]). Each lane is
-/// bit-identical to a scalar [`DeviceSut`] run of the same device, so the
-/// batched single-stream harness path produces byte-identical per-lane
-/// results and logs (the `batch_smoke` golden test diffs them).
-///
-/// Performance mode only: lanes report latencies, not predictions —
-/// accuracy mode stays on the scalar path.
-#[derive(Debug)]
-pub struct BatchDeviceSut {
-    /// SoC description (immutable, shared with the scalar path).
-    pub soc: Arc<Soc>,
-    /// Compiled deployment under test.
-    pub deployment: Arc<Deployment>,
-    plan: soc_sim::plan_batch::BatchPlan,
-    batch: soc_sim::plan_batch::BatchState,
-    /// Original lane id of each in-flight lane (positions shift as lanes
-    /// retire).
-    lane_ids: Vec<usize>,
-    /// Final state of each retired lane, by original lane id.
-    finished: Vec<Option<SocState>>,
-    lanes_executed: u64,
-}
-
-impl BatchDeviceSut {
-    /// Fans a planned deployment out to `lanes` fresh devices at
-    /// `ambient_c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    #[must_use]
-    pub fn new(soc: Arc<Soc>, planned: &PlannedDeployment, lanes: usize, ambient_c: f64) -> Self {
-        let states: Vec<SocState> = (0..lanes).map(|_| soc.new_state(ambient_c)).collect();
-        Self::with_states(soc, planned, &states)
-    }
-
-    /// Fans a planned deployment out over explicit per-lane device states
-    /// (heterogeneous ambients, battery levels, pre-warmed thermals).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty.
-    #[must_use]
-    pub fn with_states(soc: Arc<Soc>, planned: &PlannedDeployment, states: &[SocState]) -> Self {
-        assert!(!states.is_empty(), "batch needs at least one lane");
-        BatchDeviceSut {
-            soc,
-            deployment: Arc::clone(&planned.deployment),
-            plan: soc_sim::plan_batch::BatchPlan::broadcast(Arc::clone(&planned.query), states.len()),
-            batch: soc_sim::plan_batch::BatchState::gather(states),
-            lane_ids: (0..states.len()).collect(),
-            finished: vec![None; states.len()],
-            lanes_executed: 0,
-        }
-    }
-
-    /// The final device state of a retired lane (by original lane id);
-    /// `None` while the lane is still in flight.
-    #[must_use]
-    pub fn final_state(&self, lane_id: usize) -> Option<&SocState> {
-        self.finished[lane_id].as_ref()
-    }
-
-    /// Total lane-queries executed so far (K lanes per step count K).
-    /// Feeds the `plan_batch_lanes_executed` metric.
-    #[must_use]
-    pub fn lanes_executed(&self) -> u64 {
-        self.lanes_executed
-    }
-}
-
-impl loadgen::sut::BatchSut for BatchDeviceSut {
-    fn lanes(&self) -> usize {
-        self.lane_ids.len()
-    }
-
-    fn issue_query_lanes(&mut self, _sample_index: usize, out: &mut Vec<SimDuration>) {
-        let latencies = self.plan.execute_latencies(&mut self.batch);
-        self.lanes_executed += latencies.len() as u64;
-        out.clear();
-        out.extend_from_slice(latencies);
-    }
-
-    fn lane_throttle(&self, lane: usize) -> Option<(f64, f64)> {
-        Some((
-            self.batch.last_freq_factors()[lane],
-            self.batch.last_temperatures_c()[lane],
-        ))
-    }
-
-    fn retire_lane(&mut self, lane: usize) {
-        let id = self.lane_ids.remove(lane);
-        self.finished[id] = Some(self.batch.remove_lane(lane));
-        if self.plan.lanes() > 1 {
-            self.plan.remove_lane(lane);
-        }
-    }
-
-    fn lane_description(&self, _lane: usize) -> String {
-        // Every lane runs the same deployment; the header must match the
-        // scalar DeviceSut::description byte for byte.
-        format!(
-            "{} / {} / {} on {}",
-            self.soc.name,
-            self.deployment.backend,
-            self.deployment.scheme,
-            self.deployment.accelerator_summary(&self.soc),
-        )
-    }
-}
-
 /// Builds the trace-facing telemetry record for one simulator
 /// [`QueryResult`]: per-stage engine occupancy (named after the SoC's
 /// engines), the compute/transfer/launch/sync decomposition, and the

@@ -49,8 +49,8 @@ pub use log::{LogRecord, RunLog};
 pub use run::{
     find_max_qps, find_max_streams, performance_sample_set, run_accuracy, run_accuracy_advance,
     run_accuracy_parallel, run_multi_stream, run_offline_scenario, run_server, run_single_stream,
-    run_single_stream_batched, AccuracyResult, PerformanceResult, QpsSearch, StreamSearch,
+    AccuracyResult, PerformanceResult, QpsSearch, StreamSearch,
 };
 pub use scenario::{Scenario, TestMode, TestSettings};
-pub use sut::{BatchSut, ConstantBatchSut, ConstantSut, SplitQuery, SystemUnderTest};
+pub use sut::{ConstantSut, SplitQuery, SystemUnderTest};
 pub use trace::{BurstSpan, QuerySpan, QueryTelemetry, RunTrace, StageTelemetry};

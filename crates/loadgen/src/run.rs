@@ -10,9 +10,9 @@
 //! latency is the max over the N lanes. Accuracy mode feeds the entire
 //! validation set. All on the simulated clock.
 //!
-//! Each scenario has one loop, and each loop takes an optional
-//! [`RunTrace`] sink: `None` runs untraced, `Some` records per-query
-//! spans without changing the result or the log.
+//! Each scenario has exactly one loop over one [`SystemUnderTest`], and
+//! each loop takes an optional [`RunTrace`] sink: `None` runs untraced,
+//! `Some` records per-query spans without changing the result or the log.
 
 use crate::event::{EventQueue, PoissonIssuer};
 use crate::log::{LogRecord, RunLog};
@@ -205,121 +205,6 @@ pub fn run_single_stream<S: SystemUnderTest>(
         offered_qps: None,
         streams: None,
     }
-}
-
-/// Runs the single-stream performance scenario for K lockstep device
-/// lanes, returning one [`PerformanceResult`] per lane.
-///
-/// Every lane walks the same seeded sample sequence on its own virtual
-/// clock; one [`crate::sut::BatchSut::issue_query_lanes`] call advances
-/// all in-flight lanes per query step. A lane retires the moment it meets
-/// the run rules (`min_query_count` AND `min_duration`), exactly where a
-/// scalar run of that lane would have stopped; survivors keep stepping
-/// from the next sample. Lane `k`'s result and log are **byte-identical**
-/// to [`run_single_stream`] over the equivalent scalar SUT (enforced by
-/// `batched_lanes_match_scalar_runs` below and the cross-crate
-/// `batch_smoke` golden test).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty, the SUT has no lanes, or `logs` does
-/// not provide exactly one log per lane.
-pub fn run_single_stream_batched<S: crate::sut::BatchSut>(
-    sut: &mut S,
-    dataset_len: usize,
-    settings: &TestSettings,
-    logs: &mut [RunLog],
-) -> Vec<PerformanceResult> {
-    let lanes = sut.lanes();
-    assert!(lanes > 0, "batch needs at least one lane");
-    assert_eq!(logs.len(), lanes, "one log per lane");
-    for (k, log) in logs.iter_mut().enumerate() {
-        log.start(
-            Scenario::SingleStream,
-            TestMode::Performance,
-            settings.seed,
-            sut.lane_description(k),
-        );
-    }
-    // Clamped exactly like the scalar loop's sample set.
-    let samples =
-        performance_sample_set(settings.seed, dataset_len, settings.min_query_count.max(1));
-
-    /// Per-lane run-loop bookkeeping, identical to the scalar loop's
-    /// locals.
-    struct Lane {
-        now: SimInstant,
-        latencies: Vec<u64>,
-        queries: u64,
-        was_throttled: bool,
-    }
-    let mut lane_state: Vec<Lane> = (0..lanes)
-        .map(|_| Lane {
-            now: SimInstant::EPOCH,
-            latencies: Vec::with_capacity(settings.min_query_count as usize),
-            queries: 0,
-            was_throttled: false,
-        })
-        .collect();
-    // active[pos] = original lane id still in flight at SUT position
-    // `pos`; retirement removes positions so SUT lanes and this map shift
-    // together.
-    let mut active: Vec<usize> = (0..lanes).collect();
-    let mut step_latencies: Vec<SimDuration> = Vec::with_capacity(lanes);
-    let mut finished: Vec<usize> = Vec::new();
-    'outer: loop {
-        for &s in &samples {
-            sut.issue_query_lanes(s, &mut step_latencies);
-            debug_assert_eq!(step_latencies.len(), active.len());
-            finished.clear();
-            for (pos, &id) in active.iter().enumerate() {
-                let latency = step_latencies[pos];
-                let lane = &mut lane_state[id];
-                logs[id].query(lane.now, s, latency);
-                if let Some((freq_factor, temperature_c)) = sut.lane_throttle(pos) {
-                    let throttled = freq_factor < 1.0;
-                    if throttled != lane.was_throttled {
-                        lane.was_throttled = throttled;
-                        logs[id].throttle(lane.now, freq_factor, temperature_c);
-                    }
-                }
-                lane.now += latency;
-                lane.latencies.push(latency.as_nanos());
-                lane.queries += 1;
-                if lane.queries >= settings.min_query_count
-                    && lane.now.duration_since(SimInstant::EPOCH) >= settings.min_duration
-                {
-                    finished.push(pos);
-                }
-            }
-            // Retire from the highest position down so the lower
-            // positions stay valid while lanes shift.
-            for &pos in finished.iter().rev() {
-                sut.retire_lane(pos);
-                active.remove(pos);
-            }
-            if active.is_empty() {
-                break 'outer;
-            }
-        }
-    }
-    lane_state
-        .into_iter()
-        .enumerate()
-        .map(|(id, lane)| {
-            let duration = lane.now.duration_since(SimInstant::EPOCH);
-            logs[id].push(LogRecord::TestEnd { queries: lane.queries, duration_ns: duration.as_nanos() });
-            PerformanceResult {
-                scenario: Scenario::SingleStream,
-                queries: lane.queries,
-                duration,
-                latency: Some(LatencyStats::from_latencies(&lane.latencies)),
-                throughput_fps: lane.queries as f64 / duration.as_secs_f64(),
-                offered_qps: None,
-                streams: None,
-            }
-        })
-        .collect()
 }
 
 /// Runs the offline performance scenario: one burst.
@@ -528,8 +413,9 @@ pub struct QpsSearch {
 ///
 /// Each probe runs [`run_server`] against a **fresh** SUT from `make_sut`
 /// (thermal state must not leak between probes, or the search would not be
-/// monotone or reproducible). A fixed [`QPS_SEARCH_ITERS`] bisection steps
-/// keep the whole search a pure function of its inputs.
+/// monotone or reproducible). A fixed count of bisection steps
+/// (`QPS_SEARCH_ITERS`, 10) keeps the whole search a pure function of its
+/// inputs.
 ///
 /// # Panics
 ///
@@ -852,8 +738,9 @@ pub fn run_accuracy_advance<S: crate::sut::SplitQuery>(
 ///
 /// The device advance stays serial — each query's latency depends on the
 /// state the previous one left behind — while the predictions, pure
-/// per-sample functions under the [`SplitQuery`] contract, run through an
-/// order-preserving chunked [`crate::par::par_map_chunked`]. The returned
+/// per-sample functions under the [`SplitQuery`](crate::sut::SplitQuery)
+/// contract, run through an order-preserving chunked
+/// [`crate::par::par_map_chunked`]. The returned
 /// result and the log records are **byte-identical** to the serial
 /// [`run_accuracy`] for any thread count (enforced by
 /// `accuracy_parallel_is_byte_identical_to_serial` below).
@@ -896,6 +783,16 @@ mod tests {
         assert!(r.duration >= SimDuration::from_secs(60));
         // 1024 queries at 100ms = 102.4s > 60s: count binds.
         assert_eq!(r.queries, 1024);
+
+        // A zero query count leaves min_duration as the only stopping
+        // rule. The sample set is clamped to one index, so the loop still
+        // has a sample to cycle through (without the clamp it spins
+        // forever): 8 queries at 7 ms pass 50 ms.
+        let zero_count = TestSettings { min_query_count: 0, ..TestSettings::smoke_test() };
+        let mut sut = ConstantSut::new(SimDuration::from_millis(7));
+        let r = run_single_stream(&mut sut, 100, &zero_count, &mut RunLog::new(), None);
+        assert!(r.duration >= zero_count.min_duration);
+        assert_eq!(r.queries, 8);
     }
 
     #[test]
@@ -988,53 +885,6 @@ mod tests {
         fn predict(&self, sample_index: usize) -> u64 {
             (sample_index as u64).wrapping_mul(0x9E37_79B9).rotate_left(13)
         }
-    }
-
-    #[test]
-    fn batched_lanes_match_scalar_runs() {
-        // Heterogeneous lane latencies so lanes retire at different
-        // times: 7 ms lanes stop at the query count, the 40 us lane has
-        // to keep going until min_duration. Every lane must be
-        // byte-identical to its own scalar run. A zero query count
-        // leaves min_duration as the only stopping rule for every lane.
-        let latencies = [
-            SimDuration::from_millis(7),
-            SimDuration::from_micros(40),
-            SimDuration::from_millis(7),
-            SimDuration::from_millis(2),
-        ];
-        let zero_count = TestSettings { min_query_count: 0, ..TestSettings::smoke_test() };
-        for settings in [TestSettings::smoke_test(), zero_count] {
-            let mut batch = crate::sut::ConstantBatchSut::new(&latencies);
-            let mut logs: Vec<RunLog> = (0..latencies.len()).map(|_| RunLog::new()).collect();
-            let results = run_single_stream_batched(&mut batch, 100, &settings, &mut logs);
-            assert!(batch.suts.is_empty(), "every lane must retire");
-            for (k, &latency) in latencies.iter().enumerate() {
-                let mut scalar = ConstantSut::new(latency);
-                let mut scalar_log = RunLog::new();
-                let reference =
-                    run_single_stream(&mut scalar, 100, &settings, &mut scalar_log, None);
-                assert!(reference.duration >= settings.min_duration, "lane {k} stopped early");
-                assert_eq!(reference, results[k], "lane {k} diverged");
-                assert_eq!(
-                    serde_json::to_string(&scalar_log).unwrap(),
-                    serde_json::to_string(&logs[k]).unwrap(),
-                    "lane {k} log must be byte-identical to its scalar run"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_single_lane_matches_scalar() {
-        let settings = TestSettings::smoke_test();
-        let mut batch = crate::sut::ConstantBatchSut::new(&[SimDuration::from_millis(3)]);
-        let mut logs = vec![RunLog::new()];
-        let results = run_single_stream_batched(&mut batch, 64, &settings, &mut logs);
-        let mut scalar = ConstantSut::new(SimDuration::from_millis(3));
-        let mut scalar_log = RunLog::new();
-        let reference = run_single_stream(&mut scalar, 64, &settings, &mut scalar_log, None);
-        assert_eq!(vec![reference], results);
     }
 
     /// A SUT whose latency warms with every query and cools during idle

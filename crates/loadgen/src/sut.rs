@@ -4,6 +4,11 @@
 //! driving an NPU, a laptop command-line binary, or (here) a simulated SoC.
 //! It issues sample indices and receives per-query durations plus opaque
 //! responses that accuracy mode scores later.
+//!
+//! The interface is two traits: [`SystemUnderTest`], which every run loop
+//! drives, and its [`SplitQuery`] refinement for parallel accuracy
+//! scoring. A SUT is one device; batched multi-device execution belongs
+//! to the fleet executor (`soc_sim::plan_batch`), not to the LoadGen.
 
 use crate::trace::QueryTelemetry;
 use soc_sim::time::SimDuration;
@@ -84,90 +89,6 @@ pub trait SplitQuery: SystemUnderTest {
     /// The prediction for `sample_index` — a pure function of the sample,
     /// safe to evaluate on any thread and in any order.
     fn predict(&self, sample_index: usize) -> Self::Response;
-}
-
-/// K systems under test driven in lockstep — one query step advances
-/// every in-flight lane at once.
-///
-/// The batched run loop ([`crate::run::run_single_stream_batched`])
-/// issues a sample index, the SUT reports one latency per lane, and each
-/// lane's virtual clock advances independently. Lanes that meet their run
-/// rules are retired one at a time; the survivors keep stepping. The
-/// contract mirrors [`SystemUnderTest`] per lane: lane `k` of a batched
-/// run must be indistinguishable — results and log bytes — from a scalar
-/// run of the equivalent single-lane SUT.
-pub trait BatchSut {
-    /// Number of lanes still in flight.
-    fn lanes(&self) -> usize;
-
-    /// Runs one inference on `sample_index` across every in-flight lane.
-    /// Clears `out` and fills it with one latency per lane, in lane
-    /// order.
-    fn issue_query_lanes(&mut self, sample_index: usize, out: &mut Vec<SimDuration>);
-
-    /// Dispatch-time `(freq_factor, temperature_c)` of lane `lane` for
-    /// the most recent [`issue_query_lanes`] call, for throttle-event
-    /// logging. `None` (the default) means no device introspection.
-    ///
-    /// [`issue_query_lanes`]: BatchSut::issue_query_lanes
-    fn lane_throttle(&self, lane: usize) -> Option<(f64, f64)> {
-        let _ = lane;
-        None
-    }
-
-    /// Retires lane `lane`: it is removed and surviving lanes shift down
-    /// one position, matching the run loop's bookkeeping.
-    fn retire_lane(&mut self, lane: usize);
-
-    /// Human-readable description of lane `lane` for that lane's log
-    /// header — must match what the equivalent scalar SUT would report.
-    fn lane_description(&self, lane: usize) -> String {
-        let _ = lane;
-        "unnamed batch SUT".to_owned()
-    }
-}
-
-/// K independent [`ConstantSut`]s behind the [`BatchSut`] interface, for
-/// LoadGen self-tests of the batched run loop.
-#[derive(Debug, Clone)]
-pub struct ConstantBatchSut {
-    /// The per-lane SUTs still in flight.
-    pub suts: Vec<ConstantSut>,
-}
-
-impl ConstantBatchSut {
-    /// Creates a batch of constant-latency lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `latencies` is empty.
-    #[must_use]
-    pub fn new(latencies: &[SimDuration]) -> Self {
-        assert!(!latencies.is_empty(), "batch needs at least one lane");
-        ConstantBatchSut { suts: latencies.iter().map(|&l| ConstantSut::new(l)).collect() }
-    }
-}
-
-impl BatchSut for ConstantBatchSut {
-    fn lanes(&self) -> usize {
-        self.suts.len()
-    }
-
-    fn issue_query_lanes(&mut self, sample_index: usize, out: &mut Vec<SimDuration>) {
-        out.clear();
-        for sut in &mut self.suts {
-            let (latency, _) = sut.issue_query(sample_index);
-            out.push(latency);
-        }
-    }
-
-    fn retire_lane(&mut self, lane: usize) {
-        let _ = self.suts.remove(lane);
-    }
-
-    fn lane_description(&self, lane: usize) -> String {
-        self.suts[lane].description()
-    }
 }
 
 /// A deterministic synthetic SUT for LoadGen self-tests: fixed latency,

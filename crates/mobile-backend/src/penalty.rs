@@ -1,9 +1,9 @@
 //! The per-vendor transition-penalty table.
 //!
 //! Every backend pays two scheduling overheads when its compiled
-//! [`Schedule`](soc_sim::schedule::Schedule) crosses engines (paper
-//! Section 7.4 and Insights 2–5: the HAL hop is why NNAPI placements
-//! lose to direct vendor SDKs on the same silicon):
+//! [`Schedule`] crosses engines (paper Section 7.4 and Insights 2–5: the
+//! HAL hop is why NNAPI placements lose to direct vendor SDKs on the same
+//! silicon):
 //!
 //! - **`sync_us`** — per-stage synchronization, paid once per stage
 //!   (fence + dispatch of the next partition).
@@ -18,10 +18,10 @@
 //! This table is the *single source* for these constants: the backend
 //! plan builders in [`crate::backends`] read them when constructing
 //! [`PartitionPlan`](crate::partition::PartitionPlan)s, and the schedule
-//! auto-tuner ([`crate::tune`]) carries the same penalties into every
-//! candidate schedule and its branch-and-bound lower bound — so tuned
-//! and heuristic schedules are always compared under identical framework
-//! costs.
+//! auto-tuner ([`crate::tune`](mod@crate::tune)) carries the same
+//! penalties into every candidate schedule and its branch-and-bound lower
+//! bound — so tuned and heuristic schedules are always compared under
+//! identical framework costs.
 //!
 //! OpenVINO's CPU-only plan is the one accelerated path that pays no
 //! sync (a single-process inference engine with no device crossing); its

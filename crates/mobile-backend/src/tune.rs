@@ -2,12 +2,13 @@
 //! engine-assignment space.
 //!
 //! The vendor backends pick schedules with fixed per-vendor heuristics
-//! ([`crate::partition`]); the paper's Insights 2–5 attribute much of
-//! the vendor spread to exactly these scheduling decisions. With the
-//! compiled-plan executor costing a candidate schedule in ~200 ns,
-//! guided search over the assignment space is affordable — this module
-//! finds the latency- or energy-optimal schedule per (chip, model) and
-//! quantifies the heuristic-vs-optimal gap.
+//! ([`crate::partition`](mod@crate::partition)); the paper's Insights
+//! 2–5 attribute much of the vendor spread to exactly these scheduling
+//! decisions. With the compiled-plan executor costing a candidate
+//! schedule in ~200 ns, guided search over the assignment space is
+//! affordable — this module finds the latency- or energy-optimal
+//! schedule per (chip, model) and quantifies the heuristic-vs-optimal
+//! gap.
 //!
 //! # Search
 //!

@@ -781,11 +781,11 @@ impl SweepPlan {
     }
 
     /// Re-lowers the single-stream plan under **each** delta in `deltas`,
-    /// packed as one [`BatchPlan`] lane per knob variant: the ablation /
-    /// auto-tuner path evaluates K variants in one pass over the op
-    /// arrays. All lanes share the baseline op/stage arrays (no swept
-    /// knob touches them); each lane carries its own re-lowered overhead
-    /// terms. Lane `k` executes bit-identically to
+    /// packed as one [`BatchPlan`] lane per knob variant, so K variants
+    /// run in one pass over the op arrays — the fleet executor's path,
+    /// one lane per device unit. All lanes share the baseline op/stage
+    /// arrays (no swept knob touches them); each lane carries its own
+    /// re-lowered overhead terms. Lane `k` executes bit-identically to
     /// `self.relower_query(deltas[k]).execute(..)` against the same
     /// state.
     ///

@@ -2,11 +2,14 @@
 //! arrays.
 //!
 //! The compiled [`QueryPlan`] evaluates one `(device, query)` pair per
-//! call. Fleet-scale population sweeps and the schedule auto-tuner want
-//! the *same* plan evaluated against many device variants — different
-//! thermal states, battery caps, DVFS ladders, or re-lowered overhead
-//! knobs — and paying one full traversal of the op arrays per variant is
-//! the binding cost. [`BatchPlan`] executes K lanes in lockstep: one
+//! call. Fleet-scale population sweeps want the *same* plan evaluated
+//! against many device variants — different thermal states, battery
+//! caps, DVFS ladders, or per-unit re-lowered overhead knobs — and paying
+//! one full traversal of the op arrays per variant is the binding cost.
+//! The fleet executor builds its lanes with
+//! [`crate::plan::SweepPlan::relower_query_batch`] (and refills them per
+//! wave with [`crate::plan::SweepPlan::relower_query_batch_into`]).
+//! [`BatchPlan`] executes K lanes in lockstep: one
 //! pass over the per-op roofline arrays updates K `f64` accumulator
 //! lanes (a manually unrolled fixed-width block — no `std::simd`), then
 //! per-lane DVFS/thermal/energy stepping runs in the exact scalar order.
@@ -103,9 +106,8 @@ fn accumulate_op(op: &PlanOp, freq: &[f64], acc: &mut [f64]) {
 /// per-step scratch lanes, so a steady-state batch step allocates
 /// nothing.
 ///
-/// Built with [`BatchState::gather`], consumed lane-by-lane via
-/// [`BatchState::remove_lane`] or all at once via
-/// [`BatchState::scatter`].
+/// Built with [`BatchState::gather`] (or re-targeted in place with
+/// [`BatchState::refill`]) and read back with [`BatchState::scatter`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchState {
     /// Thermal trajectory per lane.
@@ -226,56 +228,11 @@ impl BatchState {
         }
     }
 
-    /// Removes lane `lane` from the batch and returns its scalar state;
-    /// surviving lanes shift down one position. Used by the harness to
-    /// retire a device that met its run rules while the rest keep
-    /// stepping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn remove_lane(&mut self, lane: usize) -> SocState {
-        let state = SocState {
-            thermal: self.thermal.remove(lane),
-            energy: self.energy.remove(lane),
-            battery: self.battery.remove(lane),
-            dvfs: self.dvfs.remove(lane),
-        };
-        // Keep the step-scratch slices aligned with the surviving lanes
-        // so telemetry reads between a step and the next stay valid.
-        for scratch_len in [self.freq.len(), self.level.len()] {
-            debug_assert!(scratch_len == 0 || scratch_len > lane);
-        }
-        if lane < self.freq.len() {
-            self.freq.remove(lane);
-        }
-        if lane < self.level.len() {
-            self.level.remove(lane);
-        }
-        if lane < self.temp.len() {
-            self.temp.remove(lane);
-        }
-        if lane < self.latency.len() {
-            self.latency.remove(lane);
-        }
-        if lane < self.joules.len() {
-            self.joules.remove(lane);
-        }
-        state
-    }
-
     /// Dispatch-time frequency factors of the most recent step, per lane
     /// (empty before the first step).
     #[must_use]
     pub fn last_freq_factors(&self) -> &[f64] {
         &self.freq
-    }
-
-    /// Dispatch-time die temperatures (°C) of the most recent step, per
-    /// lane (empty before the first step).
-    #[must_use]
-    pub fn last_temperatures_c(&self) -> &[f64] {
-        &self.temp
     }
 
     /// Per-lane latencies of the most recent step (empty before the
@@ -307,10 +264,12 @@ impl BatchState {
 ///
 /// Two constructors cover the two batching shapes:
 /// * [`BatchPlan::broadcast`] — K devices running the *same* deployment
-///   (population sweeps): every lane shares the plan's own overheads.
+///   with the plan's own overheads (the `batch_lanes` bench and the
+///   equivalence tests).
 /// * [`crate::plan::SweepPlan::relower_query_batch`] — K knob variants of
-///   one deployment (ablations / auto-tuning): lanes share the op arrays
-///   and differ only in re-lowered overhead terms.
+///   one deployment: lanes share the op arrays and differ only in
+///   re-lowered overhead terms. The fleet executor uses this one, one
+///   lane per device unit's background load.
 ///
 /// See the [module docs](crate::plan_batch) for the bit-identity
 /// contract.
@@ -421,20 +380,6 @@ impl BatchPlan {
             launch: self.launch[lane],
             sync: self.sync[lane],
         }
-    }
-
-    /// Removes lane `lane`; surviving lanes shift down one position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or if it is the last lane (an
-    /// empty batch cannot execute — drop the plan instead).
-    pub fn remove_lane(&mut self, lane: usize) {
-        assert!(self.lanes() > 1, "cannot remove the last lane");
-        self.transfer.remove(lane);
-        self.overhead.remove(lane);
-        self.launch.remove(lane);
-        self.sync.remove(lane);
     }
 
     /// Executes one query on every lane in lockstep, advancing all lane
@@ -749,34 +694,6 @@ mod tests {
                 assert_eq!(r.latency, *l);
             }
             assert_eq!(full.scatter(), fast.scatter());
-        }
-    }
-
-    #[test]
-    fn retired_lanes_leave_survivors_untouched() {
-        let plan = Arc::new(tiny_plan());
-        let k = 5;
-        let states = lane_states(k);
-        let mut bp = BatchPlan::broadcast(Arc::clone(&plan), k);
-        let mut batch = BatchState::gather(&states);
-        let mut scalar: Vec<SocState> = states.clone();
-        for _ in 0..40 {
-            let _ = bp.execute(&mut batch);
-            for state in scalar.iter_mut() {
-                let _ = plan.execute(state);
-            }
-        }
-        // Retire the middle lane; its final state matches its scalar twin.
-        let retired = batch.remove_lane(2);
-        bp.remove_lane(2);
-        assert_eq!(retired, scalar.remove(2));
-        // Survivors keep matching their scalar twins.
-        for _ in 0..40 {
-            let results = bp.execute(&mut batch);
-            for (i, state) in scalar.iter_mut().enumerate() {
-                let reference = plan.execute(state);
-                assert_results_bit_identical(&reference, &results[i]);
-            }
         }
     }
 
