@@ -2,7 +2,10 @@
 //!
 //! `search` runs the full beam / branch-and-bound `tune()` of one real
 //! submission cell under both objectives, so a regression in pruning or
-//! dedup shows up as wall-clock, not just counter drift.
+//! dedup shows up as wall-clock, not just counter drift. The cell is
+//! MobileBERT on Snapdragon 865+'s TFLite GPU delegate, one of the two
+//! slowest cells of the 64-cell gap table: MobileBERT cells take most of
+//! the `tune` workload's search time (`tune.bert_share`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlperf_mobile::app::submission_backend;
@@ -13,17 +16,21 @@ use nn_graph::models::ModelId;
 use soc_sim::catalog::ChipId;
 use std::hint::black_box;
 
-const CHIP: ChipId = ChipId::Snapdragon888;
-const MODEL: ModelId = ModelId::DeepLabV3Plus;
+const CHIP: ChipId = ChipId::Snapdragon865Plus;
+const MODEL: ModelId = ModelId::MobileBert;
 
 fn bench_tune_search(c: &mut Criterion) {
     let cache = CompileCache::new();
-    let version = SuiteVersion::V1_0;
+    // The suite version of the chip's generation, as the gap table uses.
+    let version = SuiteVersion::ALL
+        .into_iter()
+        .find(|v| v.generation() == CHIP.generation())
+        .expect("every generation has a suite version");
     let defs = suite(version);
     let def = defs
         .iter()
         .find(|d| d.model == MODEL)
-        .expect("model is in the v1.0 suite");
+        .expect("model is in the chip's suite");
     let backend = submission_backend(CHIP, version, def.task);
     let deployment = cache
         .deployment(CHIP, backend, MODEL)

@@ -21,22 +21,27 @@
 //!
 //! The search is beam search with branch-and-bound pruning:
 //!
-//! 1. **Extend** every beam prefix by every supported target for the
-//!    next node ([`CostModel::extend`] keeps exact incremental cost).
-//! 2. **Prune** prefixes whose admissible lower bound (committed exact
-//!    cost + best-case roofline suffix, [`CostModel::bound_latency`] /
-//!    [`CostModel::bound_energy`]) cannot beat the incumbent, with a
+//! 1. **Peek** at every (beam prefix, supported target) pair for the
+//!    next node: [`CostModel::bound_if_extended`] returns the admissible
+//!    lower bound of the one-node extension (committed exact cost +
+//!    best-case roofline suffix), bit-equal to
+//!    [`CostModel::bound_latency`] / [`CostModel::bound_energy`] of
+//!    [`CostModel::extend`]'s result, without copying the prefix.
+//! 2. **Prune** pairs whose bound cannot beat the incumbent, with a
 //!    `1 + 1e-9` relative slack covering floating-point fold-order
 //!    differences — so pruning never drops the optimum.
-//! 3. **Rank** survivors by bound and keep the best `beam_width`.
-//! 4. **Roll out** the best survivor to a greedy completion
-//!    ([`CostModel::greedy_complete`]). Fresh completions (deduped by
-//!    exact assignment signature) are scored by [`CostModel::finish`] and
-//!    offered to the incumbent in groups of eight, tightening it early.
-//!    The incumbent moves only at a group boundary, so the group size
-//!    decides which partials the bound prunes: it is search policy, and
-//!    the golden tuning counters (`candidates`, `pruned`) are locked
-//!    under groups of eight.
+//! 3. **Rank** the rest on `(bound, parent index, target)`, the order a
+//!    stable sort on the bound gives, and keep the best `beam_width`.
+//! 4. **Extend** only the survivors ([`CostModel::extend`] keeps exact
+//!    incremental cost), then **roll out** the best one to a greedy
+//!    completion ([`CostModel::greedy_complete`], which also peeks at
+//!    each node's targets and extends once, with the winner). Fresh
+//!    completions (deduped by exact assignment signature) are scored by
+//!    [`CostModel::finish`] and offered to the incumbent in groups of
+//!    eight, tightening it early. The incumbent moves only at a group
+//!    boundary, so the group size decides which partials the bound
+//!    prunes: it is search policy, and the golden tuning counters
+//!    (`candidates`, `pruned`) are locked under groups of eight.
 //!
 //! The incumbent is **seeded with the vendor heuristic**, so the tuner
 //! can only improve, never regress. With [`TunerConfig::exact`] (an
@@ -127,7 +132,9 @@ pub struct TuneStats {
     pub candidates: u64,
     /// Partial assignments eliminated by the lower bound.
     pub pruned: u64,
-    /// Partial assignments extended (beam expansions kept).
+    /// (prefix, target) pairs whose bound passed the pruning test,
+    /// counted before beam truncation; only the `beam_width` best of
+    /// them are built.
     pub expanded: u64,
     /// Completions skipped because their signature was already scored.
     pub dedup_hits: u64,
@@ -257,9 +264,12 @@ fn flush_pending(
 ///
 /// # Panics
 ///
-/// Panics if the heuristic schedule is invalid for the graph.
+/// Panics if `config.beam_width` is 0 (a beam must keep at least one
+/// survivor per level), or if the heuristic schedule is invalid for the
+/// graph.
 #[must_use]
 pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig) -> TuneOutcome {
+    assert!(config.beam_width >= 1, "tuner beam width must be at least 1, got 0");
     heuristic
         .validate(graph)
         .unwrap_or_else(|e| panic!("invalid heuristic schedule for {}: {e}", graph.name()));
@@ -282,48 +292,52 @@ pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig
         seen.insert(h);
     }
     let mut pending: Vec<PartialAssign> = Vec::new();
-
-    let bound_of = |p: &PartialAssign| match objective {
-        Objective::Latency => model.bound_latency(p),
-        Objective::Energy => model.bound_energy(p),
+    let energy_objective = objective == Objective::Energy;
+    // Rank key: bound, then generation order (parent index, target), a
+    // total order, so the unstable selection below keeps exactly the
+    // survivors, in exactly the order, that a stable sort on the bound
+    // would.
+    let rank = |a: &(f64, usize, u8), b: &(f64, usize, u8)| {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
     };
 
     let mut beam = vec![model.root()];
+    let mut frontier: Vec<(f64, usize, u8)> = Vec::new();
     for level in 0..n {
-        let mut next: Vec<(f64, PartialAssign)> =
-            Vec::with_capacity(beam.len().saturating_mul(t).min(4096));
-        for p in &beam {
+        frontier.clear();
+        for (parent, p) in beam.iter().enumerate() {
             for k in 0..t {
                 if !model.is_supported(level, k) {
                     continue;
                 }
-                let q = model.extend(p, k as u8);
-                let bound = bound_of(&q);
+                let bound = model.bound_if_extended(p, k as u8, energy_objective);
                 if bound > incumbent.obj * (1.0 + PRUNE_SLACK) {
                     stats.pruned += 1;
                     continue;
                 }
-                next.push((bound, q));
+                frontier.push((bound, parent, k as u8));
             }
         }
-        if next.is_empty() {
+        if frontier.is_empty() {
             // Every extension was dominated: the incumbent stands.
             beam.clear();
             break;
         }
-        stats.expanded += next.len() as u64;
-        // Stable sort: bound ties keep deterministic generation order.
-        next.sort_by(|a, b| a.0.total_cmp(&b.0));
-        if next.len() > config.beam_width {
-            stats.beam_truncations += (next.len() - config.beam_width) as u64;
-            next.truncate(config.beam_width);
+        stats.expanded += frontier.len() as u64;
+        if frontier.len() > config.beam_width {
+            stats.beam_truncations += (frontier.len() - config.beam_width) as u64;
+            frontier.select_nth_unstable_by(config.beam_width - 1, rank);
+            frontier.truncate(config.beam_width);
         }
+        frontier.sort_unstable_by(rank);
+        // Only the survivors are built.
+        let next: Vec<PartialAssign> =
+            frontier.iter().map(|&(_, parent, k)| model.extend(&beam[parent], k)).collect();
         if level + 1 < n {
             // Roll out the most promising survivor to a full candidate;
             // fresh completions queue for scoring and tighten the
             // incumbent (= sharper pruning) early.
-            let rollout =
-                model.greedy_complete(&next[0].1, objective == Objective::Energy);
+            let rollout = model.greedy_complete(&next[0], energy_objective);
             if seen.insert(rollout.assign.clone()) {
                 pending.push(rollout);
                 if pending.len() >= ROLLOUT_GROUP {
@@ -333,7 +347,7 @@ pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig
                 stats.dedup_hits += 1;
             }
         }
-        beam = next.into_iter().map(|(_, p)| p).collect();
+        beam = next;
     }
     flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
     // Surviving final-level prefixes are complete candidates with exact
@@ -529,6 +543,16 @@ mod tests {
             let want = objective_of(oracle, objective);
             assert_eq!(got.to_bits(), want.to_bits(), "{objective} optimum drifted");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "tuner beam width must be at least 1")]
+    fn zero_beam_width_is_rejected() {
+        let soc = ChipId::Exynos990.build();
+        let graph = tiny_graph();
+        let heuristic = alternating_schedule(&graph, &soc);
+        let config = TunerConfig { objective: Objective::Latency, beam_width: 0 };
+        let _ = tune(&soc, &graph, &heuristic, &config);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! - [`CostModel::bound_latency`] / [`CostModel::bound_energy`] give an
 //!   admissible lower bound (committed exact cost + best-case roofline
 //!   suffix) used to prune partials that cannot beat the incumbent.
+//! - [`CostModel::bound_if_extended`] peeks: it returns the bound of a
+//!   one-node extension, bit-equal to bounding
+//!   [`CostModel::extend`]'s result, without copying the prefix. The
+//!   tuner's frontier and [`CostModel::greedy_complete`]'s rollouts rank
+//!   candidates by peeking and extend only the ones they keep.
 //! - [`active_energy_j`] is the canonical energy objective: the active
 //!   compute energy at nominal frequency — the energy sum
 //!   `StreamPlan::lower` folds as the numerator of
@@ -388,16 +393,82 @@ impl CostModel {
         p.energy + open + self.suffix_energy[p.assign.len()]
     }
 
+    /// The objective's lower bound of `extend(p, k)` without building
+    /// it: bit-equal to [`Self::bound_energy`] (when `energy_objective`)
+    /// or [`Self::bound_latency`] of the extension, in O(fan-in) and
+    /// without copying `p`.
+    ///
+    /// It replays [`Self::extend_in_place`]'s arithmetic on scalar
+    /// copies, the same operations in the same order, then the bound's
+    /// own fold; re-associating any sum here breaks the bit-equality
+    /// that makes peeking interchangeable with extending.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts the target supports the node and the prefix is not
+    /// already complete.
+    #[must_use]
+    pub fn bound_if_extended(&self, p: &PartialAssign, k: u8, energy_objective: bool) -> f64 {
+        let t = self.targets.len();
+        let i = p.assign.len();
+        debug_assert!(i < self.num_nodes, "assignment already complete");
+        debug_assert!(self.supported[i * t + k as usize]);
+        let mut transfer = p.transfer;
+        let mut overhead = p.overhead;
+        let mut stage_time = p.stage_time;
+        let mut energy = p.energy;
+        let mut open_bytes = p.open_bytes;
+        let new_stage = p.stage_target.last() != Some(&k);
+        if new_stage {
+            if let Some(&prev) = p.stage_target.last() {
+                energy += self.power_w[prev as usize] * stage_time;
+                if open_bytes > 0 {
+                    transfer += self.interconnect.transfer_secs(open_bytes);
+                }
+                stage_time = 0.0;
+                open_bytes = 0;
+            }
+            let e = self.engine_of[k as usize];
+            if p.launched & (1 << e) == 0 {
+                overhead += self.launch_secs[e];
+            }
+            overhead += self.sync_secs;
+        }
+        let term = self.term[i * t + k as usize];
+        stage_time += term;
+        if energy_objective {
+            return energy + self.power_w[k as usize] * stage_time + self.suffix_energy[i + 1];
+        }
+        let ops_sum = p.ops_sum + term;
+        // The extension's open stage: a new one after the last, or the last.
+        let si = p.stage_target.len() - usize::from(!new_stage);
+        let my_engine = self.engine_of[k as usize];
+        for &u in &self.inputs[i] {
+            let ps = p.stage_of[u as usize] as usize;
+            if ps != si {
+                let pt = p.stage_target[ps];
+                if self.engine_of[pt as usize] != my_engine {
+                    open_bytes += self.out_bytes[u as usize * t + pt as usize];
+                }
+            }
+        }
+        let open_transfer =
+            if open_bytes > 0 { self.interconnect.transfer_secs(open_bytes) } else { 0.0 };
+        ops_sum + transfer + overhead + open_transfer + self.suffix_term[i + 1]
+    }
+
     /// Greedily completes a prefix: each remaining node takes the
     /// supported target minimizing the objective's lower bound after the
-    /// extension (lowest target index on ties — deterministic). Used by
-    /// the tuner's rollout step to obtain early incumbents that tighten
+    /// extension (lowest target index on ties — deterministic). Each
+    /// node peeks at every target's bound with
+    /// [`Self::bound_if_extended`] and extends once, with the winner, so
+    /// a rollout never copies the prefix per candidate. Used by the
+    /// tuner's rollout step to obtain early incumbents that tighten
     /// pruning; the completion's score is still evaluated exactly.
     #[must_use]
     pub fn greedy_complete(&self, p: &PartialAssign, energy_objective: bool) -> PartialAssign {
         let t = self.targets.len();
         let mut q = p.clone();
-        let mut scratch = q.clone();
         for i in q.assign.len()..self.num_nodes {
             let mut best_k = u8::MAX;
             let mut best_bound = f64::INFINITY;
@@ -405,13 +476,7 @@ impl CostModel {
                 if !self.supported[i * t + k] {
                     continue;
                 }
-                scratch.clone_from(&q);
-                self.extend_in_place(&mut scratch, k as u8);
-                let bound = if energy_objective {
-                    self.bound_energy(&scratch)
-                } else {
-                    self.bound_latency(&scratch)
-                };
+                let bound = self.bound_if_extended(&q, k as u8, energy_objective);
                 if bound < best_bound {
                     best_bound = bound;
                     best_k = k as u8;
@@ -580,6 +645,81 @@ mod tests {
             }
             let done = model.finish(&p);
             assert_eq!(done.latency_secs.to_bits(), final_score.latency_secs.to_bits());
+        }
+    }
+
+    /// Every engine of the SoC at every dtype it has a rate for.
+    fn every_engine_targets(soc: &Soc) -> Vec<SearchTarget> {
+        soc.engines()
+            .flat_map(|(engine, spec)| {
+                [DataType::U8, DataType::F16, DataType::F32]
+                    .into_iter()
+                    .filter(move |&dtype| spec.peak_ops(dtype) > 0.0)
+                    .map(move |dtype| SearchTarget { engine, dtype })
+            })
+            .collect()
+    }
+
+    /// Deterministic random path (xorshift) with sticky stages: a node
+    /// keeps its predecessor's target three times in four when it can,
+    /// so paths hold long open stages as well as frequent switches.
+    fn sticky_path(model: &CostModel, mut seed: u64) -> Vec<u8> {
+        let t = model.targets().len();
+        let mut path: Vec<u8> = Vec::with_capacity(model.num_nodes());
+        for i in 0..model.num_nodes() {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let keep = path
+                .last()
+                .filter(|&&k| !seed.is_multiple_of(4) && model.is_supported(i, k as usize));
+            let k = keep.copied().unwrap_or_else(|| {
+                let mut k = ((seed >> 8) % t as u64) as usize;
+                while !model.is_supported(i, k) {
+                    k = (k + 1) % t;
+                }
+                k as u8
+            });
+            path.push(k);
+        }
+        path
+    }
+
+    #[test]
+    fn peeked_bound_equals_bound_of_extension_bit_for_bit() {
+        let (dimensity, edgetpu, npu_cpu) = setup();
+        let snapdragon = ChipId::Snapdragon865Plus.build();
+        let exynos = ChipId::Exynos2100.build();
+        let deeplab = retype(&ModelId::DeepLabV3Plus.build(), DataType::U8);
+        let cases = [
+            (&dimensity, edgetpu, npu_cpu),
+            (&snapdragon, ModelId::MobileBert.build(), every_engine_targets(&snapdragon)),
+            (&exynos, deeplab, every_engine_targets(&exynos)),
+        ];
+        for (case, (soc, graph, targets)) in cases.into_iter().enumerate() {
+            let model = CostModel::new(soc, &graph, &targets, 10.0, 5.0);
+            let mut transfers = 0usize;
+            for seed in [0x9eed_0001_u64, 0x9eed_0002] {
+                let mut p = model.root();
+                for (i, &next) in sticky_path(&model, seed ^ case as u64).iter().enumerate() {
+                    for k in (0..targets.len()).filter(|&k| model.is_supported(i, k)) {
+                        let q = model.extend(&p, k as u8);
+                        transfers += usize::from(q.open_bytes > 0);
+                        for (energy, bound) in
+                            [(false, model.bound_latency(&q)), (true, model.bound_energy(&q))]
+                        {
+                            let peek = model.bound_if_extended(&p, k as u8, energy);
+                            assert_eq!(
+                                peek.to_bits(),
+                                bound.to_bits(),
+                                "case {case}, node {i}, target {k}, energy {energy}"
+                            );
+                        }
+                    }
+                    model.extend_in_place(&mut p, next);
+                }
+            }
+            assert!(transfers > 0, "case {case}: no cross-engine transfer was exercised");
         }
     }
 
