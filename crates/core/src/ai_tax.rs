@@ -7,11 +7,14 @@
 //! extension: a cost model for the stages *outside* the model graph
 //! (image decode/resize/normalize, tokenization, output formatting),
 //! always executed by the CPU, plus a SUT wrapper that folds them into
-//! every query.
+//! every query. The wrapper adds host time only: the device's telemetry
+//! and idle cooling pass straight through to the wrapped [`DeviceSut`],
+//! and offline bursts stay at the trait's default of sequential queries.
 
-use crate::sut_impl::{DeviceSut, Prediction};
+use crate::sut_impl::DeviceSut;
 use crate::task::Task;
 use loadgen::sut::SystemUnderTest;
+use loadgen::trace::QueryTelemetry;
 use serde::{Deserialize, Serialize};
 use soc_sim::soc::Soc;
 use soc_sim::time::SimDuration;
@@ -125,11 +128,16 @@ impl EndToEndSut {
 }
 
 impl SystemUnderTest for EndToEndSut {
-    type Response = Prediction;
+    fn issue_query(&mut self, sample_index: usize) -> SimDuration {
+        self.preprocess + self.inner.issue_query(sample_index) + self.postprocess
+    }
 
-    fn issue_query(&mut self, sample_index: usize) -> (SimDuration, Prediction) {
-        let (model, response) = self.inner.issue_query(sample_index);
-        (self.preprocess + model + self.postprocess, response)
+    fn last_telemetry(&self) -> Option<QueryTelemetry> {
+        self.inner.last_telemetry()
+    }
+
+    fn idle(&mut self, dt: SimDuration) {
+        self.inner.idle(dt);
     }
 
     fn description(&self) -> String {
@@ -140,7 +148,6 @@ impl SystemUnderTest for EndToEndSut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sut_impl::DatasetScale;
     use crate::task::{suite, SuiteVersion};
     use mobile_backend::backend::Backend;
     use mobile_backend::backends::Neuron;
@@ -150,18 +157,34 @@ mod tests {
         let soc = ChipId::Dimensity1100.build();
         let def = &suite(SuiteVersion::V1_0)[task_index];
         let deployment = Neuron.compile(&def.model.build(), &soc).unwrap();
-        let mut inner =
-            DeviceSut::new(soc, deployment, def, DatasetScale::Reduced(32), 1, 22.0);
-        let (model_latency, _) = inner.issue_query(0);
+        let mut inner = DeviceSut::new(soc, deployment, 22.0);
+        let model_latency = inner.issue_query(0);
         (EndToEndSut::new(inner, def.task), model_latency)
     }
 
     #[test]
     fn end_to_end_exceeds_model_only() {
         let (mut sut, model_latency) = e2e(0);
-        let (total, _) = sut.issue_query(0);
+        let total = sut.issue_query(0);
         assert!(total > model_latency);
         assert_eq!(total, model_latency + sut.host_overhead());
+    }
+
+    #[test]
+    fn wrapper_forwards_device_telemetry_and_cooldown() {
+        // Segmentation heats the die, so both the telemetry and the
+        // cooldown have something to show.
+        let (mut sut, _) = e2e(2);
+        for s in 0..200 {
+            let _ = sut.issue_query(s);
+        }
+        let telemetry = sut.last_telemetry();
+        assert!(telemetry.is_some(), "the run loops read device telemetry through the wrapper");
+        assert_eq!(telemetry, sut.inner().last_telemetry());
+        let hot = sut.inner().state.thermal.temperature_c();
+        sut.idle(SimDuration::from_secs(60));
+        let cooled = sut.inner().state.thermal.temperature_c();
+        assert!(cooled < hot, "a 60 s idle gap must cool the wrapped device: {hot} -> {cooled}");
     }
 
     #[test]

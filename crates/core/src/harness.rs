@@ -4,14 +4,14 @@
 
 use crate::metrics::{metrics, TraceCollector};
 use crate::sut_impl::{
-    DatasetScale, DeviceSut, PerfDeviceSut, PlannedDeployment, Prediction, TaskData,
+    DatasetScale, DeviceSut, PlannedDeployment, Prediction, TaskData, ValidationSet,
 };
 use crate::task::{BenchmarkDef, Task};
 use loadgen::checker::{check_log, Violation};
 use loadgen::log::RunLog;
 use loadgen::run::{
-    find_max_qps, find_max_streams, run_accuracy_advance, run_accuracy_parallel,
-    run_multi_stream, run_offline_scenario, run_server, run_single_stream, PerformanceResult,
+    find_max_qps, find_max_streams, run_accuracy, run_accuracy_advance, run_multi_stream,
+    run_offline_scenario, run_server, run_single_stream, PerformanceResult,
 };
 use loadgen::scenario::TestSettings;
 use loadgen::trace::RunTrace;
@@ -539,21 +539,21 @@ static ACCURACY_SCORES: OnceLock<Mutex<HashMap<String, f64>>> = OnceLock::new();
 /// Produces the accuracy score for this run, reusing a previously
 /// computed one when the whole prediction pipeline's input is identical.
 ///
-/// The returned score, the device-state evolution, and the log records
-/// are all byte-identical to [`loadgen::run::run_accuracy`] +
-/// [`score_accuracy`]: a hit
-/// replays only the stateful advance half ([`run_accuracy_advance`]), a
-/// miss synthesizes predictions across threads with order-preserving
-/// assembly ([`run_accuracy_parallel`]). Hits and misses feed the
-/// sweep-cache counters in the [`metrics`] registry.
+/// This is the only reader of the [`ValidationSet`]. A miss runs
+/// [`run_accuracy`] with the set's predictions spread over one thread per
+/// core, then [`score_accuracy`]; a hit replays only the device half
+/// ([`run_accuracy_advance`]). Both advance the device and write the log
+/// identically, and a hit returns the score the miss computed. Hits and
+/// misses feed the sweep-cache counters in the [`metrics`] registry.
 fn cached_accuracy_score(
     sut: &mut DeviceSut,
+    validation: &ValidationSet,
     def: &BenchmarkDef,
     scale: DatasetScale,
-    dataset_len: usize,
     rules: &RunRules,
     log: &mut RunLog,
 ) -> f64 {
+    let dataset_len = validation.len();
     // The scale discriminator is part of the key even though the length
     // already is: super-resolution datasets change *resolution* (not just
     // length) between Full and Reduced, so equal lengths can still mean
@@ -564,7 +564,7 @@ fn cached_accuracy_score(
         def.model,
         scale,
         rules.settings.seed,
-        sut.target_quality.to_bits()
+        validation.target_quality.to_bits()
     );
     let cache = ACCURACY_SCORES.get_or_init(|| Mutex::new(HashMap::new()));
     let cached = cache.lock().unwrap().get(&key).copied();
@@ -575,8 +575,10 @@ fn cached_accuracy_score(
     }
     metrics().record_sweep_miss();
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let acc = run_accuracy_parallel(sut, dataset_len, &rules.settings, log, threads);
-    let score = score_accuracy(&sut.data, &acc.predictions);
+    let acc = run_accuracy(sut, dataset_len, &rules.settings, log, threads, |s| {
+        validation.predict(s)
+    });
+    let score = score_accuracy(&validation.data, &acc.predictions);
     cache.lock().unwrap().insert(key, score);
     score
 }
@@ -616,17 +618,15 @@ pub fn run_benchmark_planned(
     let run_started = std::time::Instant::now();
     let cell_label = format!("{chip}/{:?}/{backend_id}", def.task);
     let _cell_span = crate::obs::span::span(crate::obs::span::Phase::Cell, || cell_label.clone());
-    // The searches mint fresh probe devices from the shared plans; keep a
-    // handle before the planned deployment moves into the device SUT
-    // (clone = a few `Arc` bumps).
-    let probe_plans = planned.clone();
-    let probe_soc = Arc::clone(&soc);
-    let mut sut =
-        DeviceSut::with_plans(soc, planned, def, scale, rules.settings.seed, rules.ambient_c);
+    // The cell's device and every search probe are fresh devices minted
+    // from the shared plans (a few `Arc` bumps each).
+    let new_device = || DeviceSut::with_plans(Arc::clone(&soc), planned.clone(), rules.ambient_c);
+    let mut sut = new_device();
     if let Some(soc_level) = rules.battery_soc {
         sut.state.battery = Some(BatteryState::new(BatterySpec::default(), soc_level));
     }
-    let dataset_len = sut.data.len();
+    let validation = ValidationSet::new(def, scheme, scale, rules.settings.seed);
+    let dataset_len = validation.len();
 
     // 1. Accuracy mode over the whole validation set. The prediction and
     // scoring half is a pure function of (task, model, scale, dataset
@@ -639,7 +639,7 @@ pub fn run_benchmark_planned(
     let accuracy = {
         let _span =
             crate::obs::span::span(crate::obs::span::Phase::Calibrate, || cell_label.clone());
-        cached_accuracy_score(&mut sut, def, scale, dataset_len, rules, &mut accuracy_log)
+        cached_accuracy_score(&mut sut, &validation, def, scale, rules, &mut accuracy_log)
     };
 
     // 2. Cooldown before the performance run.
@@ -697,7 +697,7 @@ pub fn run_benchmark_planned(
         let capacity =
             rules.settings.server_concurrency.max(1) as f64 / (ss_p90_ns as f64 / 1e9);
         let search = find_max_qps(
-            || PerfDeviceSut::new(Arc::clone(&probe_soc), &probe_plans, rules.ambient_c),
+            new_device,
             dataset_len,
             &rules.settings,
             target,
@@ -708,7 +708,7 @@ pub fn run_benchmark_planned(
             // Re-run the winning probe traced: same seed, same fresh
             // device, so the result must reproduce exactly.
             let mut t = RunTrace::new();
-            let mut probe = PerfDeviceSut::new(Arc::clone(&probe_soc), &probe_plans, rules.ambient_c);
+            let mut probe = new_device();
             let mut probe_log = RunLog::new();
             let replay = run_server(
                 &mut probe,
@@ -738,15 +738,11 @@ pub fn run_benchmark_planned(
         let _span = crate::obs::span::span(crate::obs::span::Phase::SearchProbe, || {
             format!("multi-stream {cell_label}")
         });
-        let search = find_max_streams(
-            || PerfDeviceSut::new(Arc::clone(&probe_soc), &probe_plans, rules.ambient_c),
-            dataset_len,
-            &rules.settings,
-        );
+        let search = find_max_streams(new_device, dataset_len, &rules.settings);
         log.append(&search.log);
         if traced {
             let mut t = RunTrace::new();
-            let mut probe = PerfDeviceSut::new(Arc::clone(&probe_soc), &probe_plans, rules.ambient_c);
+            let mut probe = new_device();
             let mut probe_log = RunLog::new();
             let replay = run_multi_stream(
                 &mut probe,
@@ -881,21 +877,13 @@ mod tests {
         let deployment =
             Arc::new(Neuron.compile(&def.model.build(), &soc).unwrap());
         let rules = RunRules::smoke_test();
-        let mut sut = DeviceSut::new(
-            Arc::clone(&soc),
-            Arc::clone(&deployment),
-            def,
-            DatasetScale::Reduced(64),
-            rules.settings.seed,
-            rules.ambient_c,
-        );
+        let mut sut = DeviceSut::new(Arc::clone(&soc), Arc::clone(&deployment), rules.ambient_c);
         let mut log = RunLog::new();
         let mut ss_trace = RunTrace::new();
         let before = sut.state.energy.total_joules();
-        let dataset_len = sut.data.len();
         let perf = run_single_stream(
             &mut sut,
-            dataset_len,
+            64,
             &rules.settings,
             &mut log,
             Some(&mut ss_trace),

@@ -4,8 +4,9 @@
 //! This is the top-level harness tying the substrates together:
 //!
 //! - [`task`]: the Table 1 suite (tasks, reference models, quality gates),
-//! - [`sut_impl`]: the device SUT binding a compiled backend deployment to
-//!   a simulated SoC and synthetic datasets,
+//! - [`sut_impl`]: the device SUT running a compiled backend deployment
+//!   on a simulated SoC, and the synthetic validation set accuracy mode
+//!   predicts over,
 //! - [`sim_infer`]: the statistical quality model producing predictions
 //!   that the real metrics score,
 //! - [`harness`]: the accuracy-then-performance run flow with run rules,
@@ -86,6 +87,6 @@ pub use profile::{
     benchmark_perfetto_json, profile_report, prometheus_exposition, ArtifactTrace, CellProfile,
 };
 pub use runner::{par_map, CompileCache, RunSpec, SuiteRunner};
-pub use sut_impl::{DatasetScale, DeviceSut, Prediction, TaskData};
+pub use sut_impl::{DatasetScale, DeviceSut, Prediction, TaskData, ValidationSet};
 pub use task::{suite, BenchmarkDef, SuiteVersion, Task};
 pub use tuning::{render_tuning_report, run_tuning, tuning_report_text, TuningConfig, TuningReport};

@@ -354,11 +354,18 @@ mod tests {
         }
         set_enabled(false);
         set_track(previous_track);
+        // Other tests in this binary may open spans while recording is
+        // on; only the two this test opened are checked.
         let profile = drain();
-        assert_eq!(profile.spans.len(), 2);
+        let mine: Vec<&HostSpan> = profile
+            .spans
+            .iter()
+            .filter(|s| s.label == "artifact" || s.label == "chip/backend/model")
+            .collect();
+        assert_eq!(mine.len(), 2);
         // Outer span starts first but drops last: both orders visible.
-        let suite = profile.phase_spans(Phase::Suite).next().unwrap();
-        let compile = profile.phase_spans(Phase::Compile).next().unwrap();
+        let suite = mine.iter().find(|s| s.phase == Phase::Suite).unwrap();
+        let compile = mine.iter().find(|s| s.phase == Phase::Compile).unwrap();
         assert_eq!(suite.label, "artifact");
         assert_eq!(suite.track, MAIN_TRACK);
         assert!(suite.start_ns <= compile.start_ns);
@@ -382,9 +389,15 @@ mod tests {
             }
         });
         set_enabled(false);
+        // Other tests in this binary may open spans while recording is
+        // on; only the four this test opened are checked.
         let profile = drain();
-        assert_eq!(profile.spans.len(), 4);
-        let mut tracks: Vec<u32> = profile.spans.iter().map(|s| s.track).collect();
+        let mut tracks: Vec<u32> = profile
+            .spans
+            .iter()
+            .filter(|s| s.label.starts_with("cell-"))
+            .map(|s| s.track)
+            .collect();
         tracks.sort_unstable();
         assert_eq!(tracks, vec![1, 2, 3, 4]);
     }

@@ -1,6 +1,11 @@
-//! The device-side SUT: a compiled deployment running on the simulated
-//! SoC, answering LoadGen queries with simulated latencies and
-//! quality-model predictions.
+//! The two halves of a benchmark run: the device and the validation set.
+//!
+//! [`DeviceSut`] is a compiled deployment running on the simulated SoC.
+//! It answers LoadGen queries with simulated latencies and nothing else,
+//! so one type serves the benchmark cell and every server and
+//! multi-stream search probe. [`ValidationSet`] is the task's synthetic
+//! dataset plus the quality model: it produces the prediction accuracy
+//! mode scores for each sample, and no performance loop ever sees it.
 
 use crate::sim_infer;
 use crate::task::{BenchmarkDef, Task};
@@ -13,7 +18,7 @@ use mobile_data::image::Image;
 use mobile_data::types::{AnswerSpan, Detection, LabelMap};
 use loadgen::sut::SystemUnderTest;
 use loadgen::trace::{QueryTelemetry, StageTelemetry};
-use quant::{quality::nominal_retention, Sensitivity};
+use quant::{quality::nominal_retention, Scheme, Sensitivity};
 use soc_sim::executor::QueryResult;
 use soc_sim::plan::{ExecMemo, OfflinePlan, QueryPlan};
 use soc_sim::soc::{Soc, SocState};
@@ -141,12 +146,17 @@ pub enum Prediction {
     Reconstruction(Image),
 }
 
-/// A deployment + simulated SoC bound to a benchmark's dataset.
+/// A compiled deployment running on a simulated SoC: the device the
+/// LoadGen drives.
 ///
-/// The SoC description and the compiled deployment are immutable for the
-/// lifetime of a run and held behind [`Arc`] so the suite runner's
-/// compilation cache can share one compile across concurrent runs; all
-/// mutable per-run state lives in [`SocState`].
+/// It answers queries with simulated latencies only; predictions come
+/// from a [`ValidationSet`]. The SoC description and the compiled
+/// deployment are immutable for the lifetime of a run and held behind
+/// [`Arc`] so the suite runner's caches can share one compile across
+/// concurrent runs; all mutable per-run state lives in [`SocState`]. A
+/// fresh device is a few `Arc` bumps plus a cold [`SocState`], so the
+/// server and multi-stream searches mint one per probe and thermal state
+/// cannot leak between candidates.
 #[derive(Debug)]
 pub struct DeviceSut {
     /// SoC description (immutable, shareable across runs).
@@ -155,11 +165,6 @@ pub struct DeviceSut {
     pub deployment: Arc<Deployment>,
     /// Mutable device state (thermal, energy) — persists across queries.
     pub state: SocState,
-    /// Dataset and quality-model state.
-    pub data: TaskData,
-    /// Achieved quality level (FP32 quality x numerics retention).
-    pub target_quality: f64,
-    seed: u64,
     /// Compiled single-stream plan (graph traversal hoisted out of the
     /// per-query hot loop).
     plan: Arc<QueryPlan>,
@@ -178,43 +183,119 @@ pub struct DeviceSut {
 }
 
 impl DeviceSut {
-    /// Binds a deployment to a benchmark definition.
-    ///
-    /// The achieved quality is the FP32 reference quality degraded by the
-    /// deployment scheme's retention (the `quant` quality model). Owned
-    /// values and pre-shared `Arc`s are both accepted (`Arc<T>: From<T>`),
-    /// so one-off callers keep passing plain `Soc`/`Deployment` while the
-    /// suite runner hands in cached deployments without cloning them.
+    /// A fresh device at `ambient_c` running a deployment, compiling its
+    /// plans first. Owned values and pre-shared `Arc`s are both accepted
+    /// (`Arc<T>: From<T>`), so one-off callers keep passing plain
+    /// `Soc`/`Deployment` while cached deployments go in without a clone.
     #[must_use]
     pub fn new(
         soc: impl Into<Arc<Soc>>,
         deployment: impl Into<Arc<Deployment>>,
-        def: &BenchmarkDef,
-        scale: DatasetScale,
-        seed: u64,
         ambient_c: f64,
     ) -> Self {
         let soc = soc.into();
         let planned = PlannedDeployment::compile(&soc, deployment.into());
-        Self::with_plans(soc, planned, def, scale, seed, ambient_c)
+        Self::with_plans(soc, planned, ambient_c)
     }
 
-    /// Binds an already-planned deployment to a benchmark definition —
-    /// [`Self::new`] minus the plan compilation. The suite runner's plan
-    /// cache hands the same [`PlannedDeployment`] to every run of a
-    /// `(chip, backend, model)` triple.
+    /// A fresh device at `ambient_c` running an already-planned
+    /// deployment — [`Self::new`] minus the plan compilation. The suite
+    /// runner's plan cache hands the same [`PlannedDeployment`] to every
+    /// run of a `(chip, backend, model)` triple and to every search probe.
     #[must_use]
     pub fn with_plans(
         soc: impl Into<Arc<Soc>>,
         planned: PlannedDeployment,
-        def: &BenchmarkDef,
-        scale: DatasetScale,
-        seed: u64,
         ambient_c: f64,
     ) -> Self {
         let soc = soc.into();
         let PlannedDeployment { deployment, query: plan, offline: offline_plan } = planned;
-        let retention = nominal_retention(deployment.scheme, Sensitivity::for_model(def.model));
+        let state = soc.new_state(ambient_c);
+        DeviceSut {
+            soc,
+            deployment,
+            state,
+            plan,
+            offline_plan,
+            last_query: None,
+            memo: ExecMemo::new(),
+        }
+    }
+
+    /// Queries served by the steady-state fast-forward memo (excludes the
+    /// recording walk at each new DVFS operating point). Observability
+    /// only — never part of a score.
+    #[must_use]
+    pub fn fast_forward_hits(&self) -> u64 {
+        self.memo.hits()
+    }
+
+    /// Distinct DVFS operating points the fast-forward memo has recorded.
+    #[must_use]
+    pub fn fast_forward_operating_points(&self) -> usize {
+        self.memo.operating_points()
+    }
+}
+
+impl SystemUnderTest for DeviceSut {
+    fn issue_query(&mut self, _sample_index: usize) -> SimDuration {
+        let result = self.plan.execute_memo(&mut self.state, &mut self.memo);
+        let latency = result.latency;
+        self.last_query = Some(result);
+        latency
+    }
+
+    fn issue_batch(&mut self, sample_indices: &[usize]) -> SimDuration {
+        self.offline_plan
+            .as_ref()
+            .expect("offline needs at least one stream")
+            .execute(&mut self.state, sample_indices.len() as u64, OFFLINE_BATCH)
+            .duration
+    }
+
+    fn description(&self) -> String {
+        format!(
+            "{} / {} / {} on {}",
+            self.soc.name,
+            self.deployment.backend,
+            self.deployment.scheme,
+            self.deployment.accelerator_summary(&self.soc),
+        )
+    }
+
+    fn last_telemetry(&self) -> Option<QueryTelemetry> {
+        self.last_query.as_ref().map(|r| query_telemetry(&self.soc, r))
+    }
+
+    fn idle(&mut self, dt: SimDuration) {
+        self.state.thermal.cooldown(dt);
+    }
+}
+
+/// A benchmark's validation set and the quality model that degrades its
+/// predictions: the prediction half of accuracy mode.
+///
+/// Every prediction is a pure function of the sample index, so accuracy
+/// mode can synthesize them on any thread, apart from the device
+/// ([`loadgen::run::run_accuracy`]).
+#[derive(Debug, Clone)]
+pub struct ValidationSet {
+    /// Dataset and quality-model state.
+    pub data: TaskData,
+    /// Achieved quality level (FP32 quality x numerics retention).
+    pub target_quality: f64,
+    seed: u64,
+}
+
+impl ValidationSet {
+    /// Synthesizes a benchmark's validation set for a deployment's
+    /// numerics.
+    ///
+    /// The achieved quality is the FP32 reference quality degraded by the
+    /// scheme's retention (the `quant` quality model).
+    #[must_use]
+    pub fn new(def: &BenchmarkDef, scheme: Scheme, scale: DatasetScale, seed: u64) -> Self {
+        let retention = nominal_retention(scheme, Sensitivity::for_model(def.model));
         let target_quality = def.fp32_quality * retention;
         let data = match def.task {
             Task::ImageClassification => TaskData::Classification(SyntheticImageNet::with_len(
@@ -260,22 +341,25 @@ impl DeviceSut {
                 TaskData::SuperRes(ds, sigma)
             }
         };
-        let state = soc.new_state(ambient_c);
-        DeviceSut {
-            soc,
-            deployment,
-            state,
-            data,
-            target_quality,
-            seed,
-            plan,
-            offline_plan,
-            last_query: None,
-            memo: ExecMemo::new(),
-        }
+        ValidationSet { data, target_quality, seed }
     }
 
-    fn predict(&self, sample_index: usize) -> Prediction {
+    /// Number of validation samples.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the set is empty (never).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// The quality-model prediction for one sample, scored later by the
+    /// real metrics.
+    #[must_use]
+    pub fn predict(&self, sample_index: usize) -> Prediction {
         match &self.data {
             TaskData::Classification(d) => {
                 Prediction::Class(sim_infer::classify(d, sample_index, self.target_quality, self.seed))
@@ -299,142 +383,6 @@ impl DeviceSut {
                 Prediction::Reconstruction(sim_infer::reconstruct(d, sample_index, *sigma, self.seed))
             }
         }
-    }
-}
-
-impl SystemUnderTest for DeviceSut {
-    type Response = Prediction;
-
-    fn issue_query(&mut self, sample_index: usize) -> (SimDuration, Prediction) {
-        let latency = loadgen::sut::SplitQuery::advance_query(self, sample_index);
-        (latency, self.predict(sample_index))
-    }
-
-    fn issue_batch(&mut self, sample_indices: &[usize]) -> (SimDuration, Vec<Prediction>) {
-        let result = self
-            .offline_plan
-            .as_ref()
-            .expect("offline needs at least one stream")
-            .execute(&mut self.state, sample_indices.len() as u64, OFFLINE_BATCH);
-        let predictions = sample_indices.iter().map(|&i| self.predict(i)).collect();
-        (result.duration, predictions)
-    }
-
-    fn description(&self) -> String {
-        format!(
-            "{} / {} / {} on {}",
-            self.soc.name,
-            self.deployment.backend,
-            self.deployment.scheme,
-            self.deployment.accelerator_summary(&self.soc),
-        )
-    }
-
-    fn last_telemetry(&self) -> Option<QueryTelemetry> {
-        self.last_query.as_ref().map(|r| query_telemetry(&self.soc, r))
-    }
-
-    fn idle(&mut self, dt: SimDuration) {
-        self.state.thermal.cooldown(dt);
-    }
-}
-
-impl loadgen::sut::SplitQuery for DeviceSut {
-    fn advance_query(&mut self, _sample_index: usize) -> SimDuration {
-        let result = self.plan.execute_memo(&mut self.state, &mut self.memo);
-        let latency = result.latency;
-        self.last_query = Some(result);
-        latency
-    }
-
-    fn predict(&self, sample_index: usize) -> Prediction {
-        DeviceSut::predict(self, sample_index)
-    }
-}
-
-impl DeviceSut {
-    /// Queries served by the steady-state fast-forward memo (excludes the
-    /// recording walk at each new DVFS operating point). Observability
-    /// only — never part of a score.
-    #[must_use]
-    pub fn fast_forward_hits(&self) -> u64 {
-        self.memo.hits()
-    }
-
-    /// Distinct DVFS operating points the fast-forward memo has recorded.
-    #[must_use]
-    pub fn fast_forward_operating_points(&self) -> usize {
-        self.memo.operating_points()
-    }
-}
-
-/// A performance-only device SUT: the compiled query plan on a fresh
-/// simulated device, with no dataset or prediction state attached.
-///
-/// The server and multi-stream searches probe many candidate operating
-/// points, and each probe must start from a cold device so thermal state
-/// cannot leak between candidates. Building a full [`DeviceSut`] per probe
-/// would re-synthesize the validation set every time; this SUT carries
-/// only what performance mode touches — the shared plan `Arc`s plus a
-/// fresh [`SocState`] — so probes are cheap to mint. Latency evolution is
-/// identical to [`DeviceSut`] (same plan, same memo fast-forward, same
-/// thermal model), and [`SystemUnderTest::description`] matches it byte
-/// for byte so probe logs carry the same header.
-#[derive(Debug)]
-pub struct PerfDeviceSut {
-    /// SoC description (immutable, shared).
-    pub soc: Arc<Soc>,
-    /// Compiled deployment under test (immutable, shared).
-    pub deployment: Arc<Deployment>,
-    /// Mutable device state (thermal, energy) — persists across queries.
-    pub state: SocState,
-    plan: Arc<QueryPlan>,
-    last_query: Option<QueryResult>,
-    memo: ExecMemo,
-}
-
-impl PerfDeviceSut {
-    /// A fresh device at `ambient_c` running a planned deployment.
-    #[must_use]
-    pub fn new(soc: Arc<Soc>, planned: &PlannedDeployment, ambient_c: f64) -> Self {
-        let state = soc.new_state(ambient_c);
-        PerfDeviceSut {
-            deployment: Arc::clone(&planned.deployment),
-            plan: Arc::clone(&planned.query),
-            state,
-            soc,
-            last_query: None,
-            memo: ExecMemo::new(),
-        }
-    }
-}
-
-impl SystemUnderTest for PerfDeviceSut {
-    type Response = ();
-
-    fn issue_query(&mut self, _sample_index: usize) -> (SimDuration, ()) {
-        let result = self.plan.execute_memo(&mut self.state, &mut self.memo);
-        let latency = result.latency;
-        self.last_query = Some(result);
-        (latency, ())
-    }
-
-    fn description(&self) -> String {
-        format!(
-            "{} / {} / {} on {}",
-            self.soc.name,
-            self.deployment.backend,
-            self.deployment.scheme,
-            self.deployment.accelerator_summary(&self.soc),
-        )
-    }
-
-    fn last_telemetry(&self) -> Option<QueryTelemetry> {
-        self.last_query.as_ref().map(|r| query_telemetry(&self.soc, r))
-    }
-
-    fn idle(&mut self, dt: SimDuration) {
-        self.state.thermal.cooldown(dt);
     }
 }
 
@@ -477,26 +425,24 @@ mod tests {
     use mobile_backend::backends::Neuron;
     use soc_sim::catalog::ChipId;
 
-    fn sut_for(task_index: usize) -> DeviceSut {
+    fn sut_for(task_index: usize) -> (DeviceSut, ValidationSet) {
         let soc = ChipId::Dimensity1100.build();
         let def = &suite(SuiteVersion::V1_0)[task_index];
         let deployment = Neuron.compile(&def.model.build(), &soc).unwrap();
-        DeviceSut::new(soc, deployment, def, DatasetScale::Reduced(64), 42, 22.0)
+        let validation = ValidationSet::new(def, deployment.scheme, DatasetScale::Reduced(64), 42);
+        (DeviceSut::new(soc, deployment, 22.0), validation)
     }
 
     #[test]
     fn query_returns_latency_and_prediction() {
-        let mut sut = sut_for(0);
-        let (d, p) = sut.issue_query(0);
-        assert!(d.as_millis_f64() > 0.5);
-        assert!(matches!(p, Prediction::Class(_)));
+        let (mut sut, validation) = sut_for(0);
+        assert!(sut.issue_query(0).as_millis_f64() > 0.5);
+        assert!(matches!(validation.predict(0), Prediction::Class(_)));
     }
 
     #[test]
     fn each_task_produces_its_prediction_kind() {
-        let kinds: Vec<Prediction> = (0..4)
-            .map(|i| sut_for(i).issue_query(0).1)
-            .collect();
+        let kinds: Vec<Prediction> = (0..4).map(|i| sut_for(i).1.predict(0)).collect();
         assert!(matches!(kinds[0], Prediction::Class(_)));
         assert!(matches!(kinds[1], Prediction::Detections(_)));
         assert!(matches!(kinds[2], Prediction::Map(_)));
@@ -505,7 +451,7 @@ mod tests {
 
     #[test]
     fn thermal_state_persists_across_queries() {
-        let mut sut = sut_for(2); // segmentation: heavy
+        let (mut sut, _) = sut_for(2); // segmentation: heavy
         let t0 = sut.state.thermal.temperature_c();
         for _ in 0..50 {
             let _ = sut.issue_query(0);
@@ -515,16 +461,14 @@ mod tests {
 
     #[test]
     fn batch_uses_offline_streams() {
-        let mut sut = sut_for(0);
+        let (mut sut, _) = sut_for(0);
         let samples: Vec<usize> = (0..64).map(|i| i % 64).collect();
-        let (d, preds) = sut.issue_batch(&samples);
-        assert_eq!(preds.len(), 64);
-        assert!(d > SimDuration::ZERO);
+        assert!(sut.issue_batch(&samples) > SimDuration::ZERO);
     }
 
     #[test]
     fn description_names_the_stack() {
-        let sut = sut_for(0);
+        let (sut, _) = sut_for(0);
         let desc = sut.description();
         assert!(desc.contains("Dimensity 1100"));
         assert!(desc.contains("Neuron"));

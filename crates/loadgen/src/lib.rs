@@ -13,7 +13,12 @@
 //!
 //! Submitter modification of the LoadGen is forbidden by the rules; here
 //! that invariant is structural — SUTs only see the [`sut::SystemUnderTest`]
-//! trait.
+//! trait. That trait is the device alone: it returns latencies, never
+//! predictions, so performance mode cannot synthesize responses it would
+//! throw away. Accuracy mode ([`run::run_accuracy`]) advances the device
+//! over the validation set and takes each sample's prediction from a
+//! separate function, as MLPerf's LoadGen scores responses only in
+//! accuracy mode.
 //!
 //! # Examples
 //!
@@ -48,9 +53,9 @@ pub use event::{EventQueue, PoissonIssuer};
 pub use log::{LogRecord, RunLog};
 pub use run::{
     find_max_qps, find_max_streams, performance_sample_set, run_accuracy, run_accuracy_advance,
-    run_accuracy_parallel, run_multi_stream, run_offline_scenario, run_server, run_single_stream,
-    AccuracyResult, PerformanceResult, QpsSearch, StreamSearch,
+    run_multi_stream, run_offline_scenario, run_server, run_single_stream, AccuracyResult,
+    PerformanceResult, QpsSearch, StreamSearch,
 };
 pub use scenario::{Scenario, TestMode, TestSettings};
-pub use sut::{ConstantSut, SplitQuery, SystemUnderTest};
+pub use sut::{ConstantSut, SystemUnderTest};
 pub use trace::{BurstSpan, QuerySpan, QueryTelemetry, RunTrace, StageTelemetry};

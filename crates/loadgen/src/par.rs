@@ -1,24 +1,23 @@
-//! Order-preserving chunked parallel map, with optional pool telemetry.
+//! Order-preserving chunked parallel map, plus pool telemetry counters.
 //!
-//! The accuracy pipeline scores thousands of *independent* predictions,
-//! but the LoadGen's determinism contract demands the output be
-//! indistinguishable from the serial loop. This helper splits the input
-//! into one contiguous chunk per worker and reassembles the results in
-//! chunk order, so the output vector is element-for-element identical to
-//! `items.iter().map(f).collect()` regardless of thread count or
+//! Accuracy mode synthesizes thousands of *independent* predictions, but
+//! the LoadGen's determinism contract demands the output be
+//! indistinguishable from the serial loop. [`par_map_chunked`] splits the
+//! input into one contiguous chunk per worker and reassembles the results
+//! in chunk order, so the output vector is element-for-element identical
+//! to `items.iter().map(f).collect()` regardless of thread count or
 //! scheduling.
 //!
-//! [`PoolTelemetry`] is the observation side: a fixed block of per-worker
-//! counters (tasks, busy wall-clock, steals) plus queue-depth gauges that
-//! any worker-pool implementation — this chunked map, or the harness's
-//! work-stealing `par_map` — records into with relaxed atomics. Telemetry
-//! is strictly host-side bookkeeping: it never touches simulated state, so
-//! instrumented maps return bit-identical results to uninstrumented ones
-//! (the tests below hold the output equal element for element).
+//! [`PoolTelemetry`] is the observation side of a worker pool: a fixed
+//! block of per-worker counters (tasks, busy wall-clock, steals) plus
+//! queue-depth gauges, recorded with relaxed atomics. The harness's
+//! work-stealing `par_map` records into it; the chunked map here does
+//! not. Telemetry is strictly host-side bookkeeping and never touches
+//! simulated state.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Worker slots a [`PoolTelemetry`] block tracks individually; workers
 /// with larger indices fold into the last slot (pools that wide don't
@@ -204,38 +203,9 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_chunked_telemetry(items, threads, None, f)
-}
-
-/// [`par_map_chunked`] with telemetry hooks: each worker additionally
-/// records its task count and busy wall-clock into `telemetry` (static
-/// chunking never steals, so the steal counters stay untouched). The
-/// mapped output is element-for-element identical to the un-instrumented
-/// call — telemetry is recorded strictly outside `f`.
-pub fn par_map_chunked_telemetry<T, R, F>(
-    items: &[T],
-    threads: usize,
-    telemetry: Option<&PoolTelemetry>,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     let threads = threads.max(1).min(items.len());
-    if let Some(t) = telemetry {
-        t.record_call();
-    }
     if threads <= 1 {
-        let started = Instant::now();
-        let out: Vec<R> = items.iter().map(f).collect();
-        if let Some(t) = telemetry {
-            for _ in items {
-                t.record_task(0, started.elapsed() / items.len().max(1) as u32, false);
-            }
-        }
-        return out;
+        return items.iter().map(f).collect();
     }
     // Ceil-divide so every chunk is non-empty and order is trivially
     // preserved by concatenating per-chunk outputs.
@@ -244,20 +214,9 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
-            .enumerate()
-            .map(|(w, chunk)| {
+            .map(|chunk| {
                 let f = &f;
-                scope.spawn(move || {
-                    let started = Instant::now();
-                    let out: Vec<R> = chunk.iter().map(f).collect();
-                    if let Some(t) = telemetry {
-                        let per_task = started.elapsed() / chunk.len().max(1) as u32;
-                        for _ in chunk {
-                            t.record_task(w, per_task, false);
-                        }
-                    }
-                    out
-                })
+                scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>())
             })
             .collect();
         results = handles.into_iter().map(|h| h.join().expect("par_map worker")).collect();
@@ -283,32 +242,6 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(par_map_chunked(&empty, 4, |&x| x).is_empty());
         assert_eq!(par_map_chunked(&[7u8], 4, |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn telemetry_does_not_change_results_or_order() {
-        let items: Vec<usize> = (0..777).collect();
-        let plain = par_map_chunked(&items, 8, |&x| x * 31 + 7);
-        let telemetry = PoolTelemetry::new();
-        let hooked = par_map_chunked_telemetry(&items, 8, Some(&telemetry), |&x| x * 31 + 7);
-        assert_eq!(plain, hooked, "telemetry must be invisible in the mapped output");
-
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.total_tasks(), items.len() as u64, "every item recorded exactly once");
-        assert_eq!(snap.total_steals(), 0, "static chunking never steals");
-        assert_eq!(snap.calls, 1);
-        assert!(snap.workers.len() <= 8);
-    }
-
-    #[test]
-    fn telemetry_counts_serial_fallbacks_too() {
-        let telemetry = PoolTelemetry::new();
-        let out = par_map_chunked_telemetry(&[1u8, 2, 3], 1, Some(&telemetry), |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.total_tasks(), 3);
-        assert_eq!(snap.workers.len(), 1, "serial fallback runs on worker 0");
-        assert_eq!(snap.workers[0].worker, 0);
     }
 
     #[test]

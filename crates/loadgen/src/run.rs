@@ -8,7 +8,8 @@
 //! `server_concurrency` queries executing at once; latency includes
 //! queueing delay. Multi-stream: N-wide frames at a fixed interval; frame
 //! latency is the max over the N lanes. Accuracy mode feeds the entire
-//! validation set. All on the simulated clock.
+//! validation set and pairs each sample with a prediction from a function
+//! the SUT never sees. All on the simulated clock.
 //!
 //! Each scenario has exactly one loop over one [`SystemUnderTest`], and
 //! each loop takes an optional [`RunTrace`] sink: `None` runs untraced,
@@ -161,7 +162,7 @@ pub fn run_single_stream<S: SystemUnderTest>(
     // Repeat until both the sample count and the minimum duration are met.
     'outer: loop {
         for &s in &samples {
-            let (latency, _response) = sut.issue_query(s);
+            let latency = sut.issue_query(s);
             log.query(now, s, latency);
             // Telemetry is pulled once per query and drives both the trace
             // span and the compliance log's throttle transitions, so traced
@@ -232,8 +233,7 @@ pub fn run_offline_scenario<S: SystemUnderTest>(
     );
     let samples =
         performance_sample_set(settings.seed, dataset_len, settings.offline_sample_count);
-    let (duration, responses) = sut.issue_batch(&samples);
-    assert_eq!(responses.len(), samples.len(), "SUT must answer every sample");
+    let duration = sut.issue_batch(&samples);
     if let Some(t) = trace {
         t.begin(
             Scenario::Offline,
@@ -350,7 +350,7 @@ pub fn run_server<S: SystemUnderTest>(
                     }
                 }
             }
-            let (service, _response) = sut.issue_query(samples[i]);
+            let service = sut.issue_query(samples[i]);
             let telemetry = sut.last_telemetry();
             if let Some(t) = &telemetry {
                 if t.is_throttled() != was_throttled {
@@ -529,7 +529,7 @@ pub fn run_multi_stream<S: SystemUnderTest>(
                 let mut frame_latency = SimDuration::ZERO;
                 for lane in 0..streams {
                     let s = samples[(k * streams + lane) as usize];
-                    let (latency, _response) = sut.issue_query(s);
+                    let latency = sut.issue_query(s);
                     log.query(now, s, latency);
                     let telemetry = sut.last_telemetry();
                     if let Some(t) = &telemetry {
@@ -666,52 +666,49 @@ where
     StreamSearch { streams: lo, interval, probes, result: best.0, log: best.1 }
 }
 
-/// Runs accuracy mode: the entire validation set, each sample once.
+/// Runs accuracy mode: the entire validation set, each sample once, in
+/// index order.
+///
+/// The device advances serially through [`run_accuracy_advance`], since
+/// each query's latency depends on the state the previous one left
+/// behind. The predictions come from `predict`, a pure function of the
+/// sample index that the SUT never sees, mapped over `threads` workers by
+/// the order-preserving [`crate::par::par_map_chunked`]. So the
+/// predictions, the duration and the log records are identical for any
+/// thread count (`accuracy_parallel_is_byte_identical_to_serial` below
+/// holds them to a closed form).
 ///
 /// # Panics
 ///
 /// Panics if the dataset is empty.
-pub fn run_accuracy<S: SystemUnderTest>(
+pub fn run_accuracy<S: SystemUnderTest, R: Send>(
     sut: &mut S,
     dataset_len: usize,
     settings: &TestSettings,
     log: &mut RunLog,
-) -> AccuracyResult<S::Response> {
-    assert!(dataset_len > 0, "empty dataset");
-    log.start(
-        Scenario::SingleStream,
-        TestMode::Accuracy,
-        settings.seed,
-        sut.description(),
-    );
-    let mut now = SimInstant::EPOCH;
-    let mut predictions = Vec::with_capacity(dataset_len);
-    for s in 0..dataset_len {
-        let (latency, response) = sut.issue_query(s);
-        now += latency;
-        predictions.push((s, response));
-    }
-    let duration = now.duration_since(SimInstant::EPOCH);
-    log.push(LogRecord::TestEnd { queries: dataset_len as u64, duration_ns: duration.as_nanos() });
+    threads: usize,
+    predict: impl Fn(usize) -> R + Sync,
+) -> AccuracyResult<R> {
+    let duration = run_accuracy_advance(sut, dataset_len, settings, log);
+    let samples: Vec<usize> = (0..dataset_len).collect();
+    let responses = crate::par::par_map_chunked(&samples, threads, |&s| predict(s));
+    let predictions = samples.into_iter().zip(responses).collect();
     AccuracyResult { predictions, duration }
 }
 
-/// The device-advance half of [`run_accuracy`]: walks the whole
-/// validation set through [`SplitQuery::advance_query`], producing the
-/// same state evolution, log records and duration as the full accuracy
-/// run — without synthesizing a single prediction.
+/// The device half of [`run_accuracy`]: issues the whole validation set
+/// in order, producing the same state evolution, log records and
+/// duration as the full accuracy run, without a single prediction.
 ///
 /// Callers that already know the accuracy outcome (e.g. a sweep cache
 /// that has scored this exact `(dataset, quality)` pair before) use this
 /// to keep the thermal trajectory and the unedited log byte-identical to
 /// a from-scratch run.
 ///
-/// [`SplitQuery::advance_query`]: crate::sut::SplitQuery::advance_query
-///
 /// # Panics
 ///
 /// Panics if the dataset is empty.
-pub fn run_accuracy_advance<S: crate::sut::SplitQuery>(
+pub fn run_accuracy_advance<S: SystemUnderTest>(
     sut: &mut S,
     dataset_len: usize,
     settings: &TestSettings,
@@ -726,44 +723,11 @@ pub fn run_accuracy_advance<S: crate::sut::SplitQuery>(
     );
     let mut now = SimInstant::EPOCH;
     for s in 0..dataset_len {
-        now += sut.advance_query(s);
+        now += sut.issue_query(s);
     }
     let duration = now.duration_since(SimInstant::EPOCH);
     log.push(LogRecord::TestEnd { queries: dataset_len as u64, duration_ns: duration.as_nanos() });
     duration
-}
-
-/// [`run_accuracy`] with the prediction work spread over `threads`
-/// workers.
-///
-/// The device advance stays serial — each query's latency depends on the
-/// state the previous one left behind — while the predictions, pure
-/// per-sample functions under the [`SplitQuery`](crate::sut::SplitQuery)
-/// contract, run through an order-preserving chunked
-/// [`crate::par::par_map_chunked`]. The returned
-/// result and the log records are **byte-identical** to the serial
-/// [`run_accuracy`] for any thread count (enforced by
-/// `accuracy_parallel_is_byte_identical_to_serial` below).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn run_accuracy_parallel<S>(
-    sut: &mut S,
-    dataset_len: usize,
-    settings: &TestSettings,
-    log: &mut RunLog,
-    threads: usize,
-) -> AccuracyResult<S::Response>
-where
-    S: crate::sut::SplitQuery + Sync,
-    S::Response: Send,
-{
-    let duration = run_accuracy_advance(sut, dataset_len, settings, log);
-    let samples: Vec<usize> = (0..dataset_len).collect();
-    let responses = crate::par::par_map_chunked(&samples, threads, |&s| sut.predict(s));
-    let predictions = samples.into_iter().zip(responses).collect();
-    AccuracyResult { predictions, duration }
 }
 
 #[cfg(test)]
@@ -834,7 +798,7 @@ mod tests {
     fn accuracy_covers_entire_dataset() {
         let mut sut = ConstantSut::new(SimDuration::from_micros(10));
         let mut log = RunLog::new();
-        let r = run_accuracy(&mut sut, 1234, &TestSettings::smoke_test(), &mut log);
+        let r = run_accuracy(&mut sut, 1234, &TestSettings::smoke_test(), &mut log, 1, |s| s);
         assert_eq!(r.predictions.len(), 1234);
         // Every sample exactly once, in order.
         assert!(r.predictions.iter().enumerate().all(|(i, (s, _))| i == *s));
@@ -858,33 +822,27 @@ mod tests {
         assert_eq!(log.latencies_ns().len() as u64, r.queries);
     }
 
-    /// A stateful split SUT: latency grows with every query served (so any
-    /// reordering of the advance loop desynchronizes the duration), while
-    /// the prediction is a pure per-sample function.
+    /// A stateful SUT: latency grows with every query served, so an
+    /// accuracy advance that repeats or skips a sample changes the
+    /// duration.
     struct WarmingSut {
         queries_served: u64,
     }
 
     impl crate::sut::SystemUnderTest for WarmingSut {
-        type Response = u64;
-        fn issue_query(&mut self, sample_index: usize) -> (SimDuration, u64) {
-            use crate::sut::SplitQuery;
-            let latency = self.advance_query(sample_index);
-            (latency, self.predict(sample_index))
-        }
-        fn description(&self) -> String {
-            "warming split SUT".to_owned()
-        }
-    }
-
-    impl crate::sut::SplitQuery for WarmingSut {
-        fn advance_query(&mut self, _sample_index: usize) -> SimDuration {
+        fn issue_query(&mut self, _sample_index: usize) -> SimDuration {
             self.queries_served += 1;
             SimDuration::from_micros(100 + self.queries_served * 3)
         }
-        fn predict(&self, sample_index: usize) -> u64 {
-            (sample_index as u64).wrapping_mul(0x9E37_79B9).rotate_left(13)
+        fn description(&self) -> String {
+            "warming SUT".to_owned()
         }
+    }
+
+    /// The prediction run alongside [`WarmingSut`]: a pure per-sample
+    /// hash.
+    fn warming_predict(sample_index: usize) -> u64 {
+        (sample_index as u64).wrapping_mul(0x9E37_79B9).rotate_left(13)
     }
 
     /// A SUT whose latency warms with every query and cools during idle
@@ -908,11 +866,10 @@ mod tests {
     }
 
     impl crate::sut::SystemUnderTest for ThermalToySut {
-        type Response = usize;
-        fn issue_query(&mut self, sample_index: usize) -> (SimDuration, usize) {
+        fn issue_query(&mut self, _sample_index: usize) -> SimDuration {
             let latency = self.base + SimDuration::from_nanos(self.heat_ns);
             self.heat_ns += self.heat_per_query_ns;
-            (latency, sample_index)
+            latency
         }
         fn idle(&mut self, dt: SimDuration) {
             self.idle_total += dt;
@@ -1058,11 +1015,10 @@ mod tests {
             step: u64,
         }
         impl crate::sut::SystemUnderTest for CyclingSut {
-            type Response = usize;
-            fn issue_query(&mut self, sample_index: usize) -> (SimDuration, usize) {
+            fn issue_query(&mut self, _sample_index: usize) -> SimDuration {
                 let latency = SimDuration::from_millis(self.step % 4 + 1);
                 self.step += 1;
-                (latency, sample_index)
+                latency
             }
         }
         let settings = TestSettings::smoke_test();
@@ -1167,25 +1123,34 @@ mod tests {
 
     #[test]
     fn accuracy_parallel_is_byte_identical_to_serial() {
+        const LEN: usize = 777;
         let settings = TestSettings::smoke_test();
-        let mut serial_log = RunLog::new();
-        let serial = run_accuracy(&mut WarmingSut { queries_served: 0 }, 777, &settings, &mut serial_log);
-        for threads in [1, 2, 5, 16] {
+        let run = |threads| {
             let mut log = RunLog::new();
-            let par = run_accuracy_parallel(
+            let r = run_accuracy(
                 &mut WarmingSut { queries_served: 0 },
-                777,
+                LEN,
                 &settings,
                 &mut log,
                 threads,
+                warming_predict,
             );
-            assert_eq!(serial.predictions, par.predictions, "{threads} threads");
-            assert_eq!(serial.duration, par.duration, "{threads} threads");
-            assert_eq!(
-                serde_json::to_string(&serial_log).unwrap(),
-                serde_json::to_string(&log).unwrap(),
-                "accuracy log must be byte-identical at {threads} threads"
-            );
+            (r, serde_json::to_string(&log).unwrap())
+        };
+        let (serial, serial_log) = run(1);
+        // Closed form at one thread: every sample once, in order, paired
+        // with its own prediction...
+        let want: Vec<(usize, u64)> = (0..LEN).map(|i| (i, warming_predict(i))).collect();
+        assert_eq!(serial.predictions, want);
+        // ...and the duration is the sum of the warming latencies, the
+        // k-th query taking 100 + 3k µs.
+        let want_us: u64 = (1..=LEN as u64).map(|k| 100 + 3 * k).sum();
+        assert_eq!(serial.duration, SimDuration::from_micros(want_us));
+        for threads in [2, 5, 16] {
+            let (par, log) = run(threads);
+            assert_eq!(par.predictions, serial.predictions, "{threads} threads");
+            assert_eq!(par.duration, serial.duration, "{threads} threads");
+            assert_eq!(log, serial_log, "accuracy log must be byte-identical at {threads} threads");
         }
     }
 }

@@ -2,29 +2,23 @@
 //!
 //! The LoadGen is deliberately ignorant of what the SUT is — a phone app
 //! driving an NPU, a laptop command-line binary, or (here) a simulated SoC.
-//! It issues sample indices and receives per-query durations plus opaque
-//! responses that accuracy mode scores later.
+//! It issues sample indices and receives per-query durations.
 //!
-//! The interface is two traits: [`SystemUnderTest`], which every run loop
-//! drives, and its [`SplitQuery`] refinement for parallel accuracy
-//! scoring. A SUT is one device; batched multi-device execution belongs
-//! to the fleet executor (`soc_sim::plan_batch`), not to the LoadGen.
+//! A SUT is the device half only: [`SystemUnderTest`] has no prediction
+//! type, so no performance loop can ask for a response. Accuracy mode is
+//! the one place predictions exist, and it takes them from a separate
+//! per-sample function ([`crate::run::run_accuracy`]). A SUT is one
+//! device; batched multi-device execution belongs to the fleet executor
+//! (`soc_sim::plan_batch`), not to the LoadGen.
 
 use crate::trace::QueryTelemetry;
 use soc_sim::time::SimDuration;
 
-/// A system under test.
-///
-/// `Response` is the task-specific prediction payload (class label,
-/// detection list, label map, answer span) consumed by the accuracy
-/// pipeline; performance mode discards it.
+/// A system under test: the device that runs queries.
 pub trait SystemUnderTest {
-    /// Task-specific prediction type.
-    type Response;
-
     /// Runs one inference on the sample with the given dataset index,
-    /// returning the simulated latency and the prediction.
-    fn issue_query(&mut self, sample_index: usize) -> (SimDuration, Self::Response);
+    /// returning the simulated latency.
+    fn issue_query(&mut self, sample_index: usize) -> SimDuration;
 
     /// Device telemetry for the most recent [`issue_query`] call, consumed
     /// by traced run loops. SUTs without device introspection (the
@@ -44,18 +38,16 @@ pub trait SystemUnderTest {
         let _ = dt;
     }
 
-    /// Runs a batched burst (offline scenario). The default issues the
-    /// samples sequentially; SUTs with accelerator-level parallelism
-    /// override this to run concurrent streams.
-    fn issue_batch(&mut self, sample_indices: &[usize]) -> (SimDuration, Vec<Self::Response>) {
+    /// Runs a batched burst (offline scenario), returning its duration.
+    /// The default issues the samples sequentially; SUTs with
+    /// accelerator-level parallelism override this to run concurrent
+    /// streams.
+    fn issue_batch(&mut self, sample_indices: &[usize]) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        let mut responses = Vec::with_capacity(sample_indices.len());
         for &i in sample_indices {
-            let (d, r) = self.issue_query(i);
-            total += d;
-            responses.push(r);
+            total += self.issue_query(i);
         }
-        (total, responses)
+        total
     }
 
     /// Human-readable SUT description for the logs.
@@ -64,35 +56,7 @@ pub trait SystemUnderTest {
     }
 }
 
-/// A SUT whose query is separable into a *stateful* device advance and a
-/// *pure* prediction.
-///
-/// Simulated (and well-instrumented real) SUTs compute a query's latency
-/// from device state — DVFS, thermals, battery — while the prediction
-/// depends only on the sample index. Splitting the two lets accuracy mode
-/// advance the device serially (cheap, order-sensitive) and synthesize
-/// predictions in parallel (expensive, order-free), see
-/// [`crate::run::run_accuracy_parallel`].
-///
-/// # Contract
-///
-/// `issue_query(s)` must be observably equivalent to
-/// `(advance_query(s), predict(s))` — same latency, same response, same
-/// state evolution. The accuracy-path byte-identity test in
-/// `run.rs` holds implementations to it.
-pub trait SplitQuery: SystemUnderTest {
-    /// Advances device state for one query on `sample_index`, returning
-    /// the simulated latency [`SystemUnderTest::issue_query`] would have
-    /// reported.
-    fn advance_query(&mut self, sample_index: usize) -> SimDuration;
-
-    /// The prediction for `sample_index` — a pure function of the sample,
-    /// safe to evaluate on any thread and in any order.
-    fn predict(&self, sample_index: usize) -> Self::Response;
-}
-
-/// A deterministic synthetic SUT for LoadGen self-tests: fixed latency,
-/// echoes the sample index.
+/// A deterministic synthetic SUT for LoadGen self-tests: fixed latency.
 #[derive(Debug, Clone)]
 pub struct ConstantSut {
     /// Latency returned for every query.
@@ -110,11 +74,9 @@ impl ConstantSut {
 }
 
 impl SystemUnderTest for ConstantSut {
-    type Response = usize;
-
-    fn issue_query(&mut self, sample_index: usize) -> (SimDuration, usize) {
+    fn issue_query(&mut self, _sample_index: usize) -> SimDuration {
         self.queries_served += 1;
-        (self.latency, sample_index)
+        self.latency
     }
 
     fn description(&self) -> String {
@@ -129,17 +91,14 @@ mod tests {
     #[test]
     fn constant_sut_counts_queries() {
         let mut sut = ConstantSut::new(SimDuration::from_millis(5));
-        let (d, r) = sut.issue_query(42);
-        assert_eq!(d, SimDuration::from_millis(5));
-        assert_eq!(r, 42);
+        assert_eq!(sut.issue_query(42), SimDuration::from_millis(5));
         assert_eq!(sut.queries_served, 1);
     }
 
     #[test]
     fn default_batch_sums_latencies() {
         let mut sut = ConstantSut::new(SimDuration::from_millis(2));
-        let (d, rs) = sut.issue_batch(&[1, 2, 3]);
-        assert_eq!(d, SimDuration::from_millis(6));
-        assert_eq!(rs, vec![1, 2, 3]);
+        assert_eq!(sut.issue_batch(&[1, 2, 3]), SimDuration::from_millis(6));
+        assert_eq!(sut.queries_served, 3);
     }
 }

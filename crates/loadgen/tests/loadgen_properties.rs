@@ -27,12 +27,10 @@ impl PatternSut {
 }
 
 impl SystemUnderTest for PatternSut {
-    type Response = ();
-
-    fn issue_query(&mut self, _sample: usize) -> (SimDuration, ()) {
+    fn issue_query(&mut self, _sample: usize) -> SimDuration {
         let us = self.pattern_us[self.cursor % self.pattern_us.len()];
         self.cursor += 1;
-        (SimDuration::from_micros(us.max(1)), ())
+        SimDuration::from_micros(us.max(1))
     }
 }
 
@@ -114,10 +112,10 @@ proptest! {
     }
 
     #[test]
-    fn accuracy_mode_visits_each_sample_once(len in 1usize..700) {
+    fn accuracy_mode_visits_each_sample_once(len in 1usize..700, threads in 1usize..=8) {
         let mut sut = PatternSut::new(vec![50]);
         let mut log = RunLog::new();
-        let r = run_accuracy(&mut sut, len, &TestSettings::smoke_test(), &mut log);
+        let r = run_accuracy(&mut sut, len, &TestSettings::smoke_test(), &mut log, threads, |_| ());
         prop_assert_eq!(r.predictions.len(), len);
         let mut seen: Vec<usize> = r.predictions.iter().map(|(i, ())| *i).collect();
         seen.sort_unstable();

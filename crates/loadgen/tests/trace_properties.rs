@@ -27,12 +27,10 @@ impl PatternSut {
 }
 
 impl SystemUnderTest for PatternSut {
-    type Response = ();
-
-    fn issue_query(&mut self, _sample: usize) -> (SimDuration, ()) {
+    fn issue_query(&mut self, _sample: usize) -> SimDuration {
         let us = self.pattern_us[self.cursor % self.pattern_us.len()];
         self.cursor += 1;
-        (SimDuration::from_micros(us.max(1)), ())
+        SimDuration::from_micros(us.max(1))
     }
 }
 

@@ -61,8 +61,8 @@ fn end_to_end_wrapper_composes_with_loadgen() {
         .unwrap();
     let backend = create(vendor_backend(&soc).unwrap());
     let deployment = backend.compile(&def.model.build(), &soc).unwrap();
-    let mut inner = DeviceSut::new(soc, deployment, &def, DatasetScale::Reduced(64), 5, 22.0);
-    let (model_only, _) = inner.issue_query(0);
+    let mut inner = DeviceSut::new(soc, deployment, 22.0);
+    let model_only = inner.issue_query(0);
     let mut e2e = EndToEndSut::new(inner, Task::ImageClassification);
     let mut log = RunLog::new();
     let r = run_single_stream(&mut e2e, 64, &TestSettings::smoke_test(), &mut log, None);

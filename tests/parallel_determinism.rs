@@ -299,9 +299,8 @@ fn fast_forwarded_hot_loop_matches_unmemoized_walk() {
         desc: String,
     }
     impl SystemUnderTest for UnmemoizedSut {
-        type Response = ();
-        fn issue_query(&mut self, _sample_index: usize) -> (SimDuration, ()) {
-            (self.plan.execute(&mut self.state).latency, ())
+        fn issue_query(&mut self, _sample_index: usize) -> SimDuration {
+            self.plan.execute(&mut self.state).latency
         }
         fn description(&self) -> String {
             self.desc.clone()
@@ -309,19 +308,11 @@ fn fast_forwarded_hot_loop_matches_unmemoized_walk() {
     }
 
     let rules = RunRules::smoke_test();
-    let scale = DatasetScale::Reduced(48);
     let cache = CompileCache::new();
     for spec in matrix() {
         let soc = cache.soc(spec.chip);
         let planned = cache.planned(spec.chip, spec.backend, spec.def.model).unwrap();
-        let mut device = DeviceSut::with_plans(
-            Arc::clone(&soc),
-            planned.clone(),
-            &spec.def,
-            scale,
-            rules.settings.seed,
-            22.0,
-        );
+        let mut device = DeviceSut::with_plans(Arc::clone(&soc), planned.clone(), 22.0);
         let mut oracle = UnmemoizedSut {
             plan: Arc::clone(&planned.query),
             state: soc.new_state(22.0),

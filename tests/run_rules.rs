@@ -19,7 +19,7 @@ fn device_sut(task: Task) -> DeviceSut {
     let soc = ChipId::Dimensity1100.build();
     let def = suite(SuiteVersion::V1_0).into_iter().find(|d| d.task == task).unwrap();
     let deployment = Neuron.compile(&def.model.build(), &soc).unwrap();
-    DeviceSut::new(soc, deployment, &def, DatasetScale::Reduced(128), 42, 22.0)
+    DeviceSut::new(soc, deployment, 22.0)
 }
 
 #[test]
@@ -81,8 +81,7 @@ fn hot_ambient_produces_worse_scores() {
         .unwrap();
     let run_at = |ambient: f64| {
         let deployment = Snpe.compile(&def.model.build(), &soc).unwrap();
-        let mut sut =
-            DeviceSut::new(soc.clone(), deployment, &def, DatasetScale::Reduced(64), 1, ambient);
+        let mut sut = DeviceSut::new(soc.clone(), deployment, ambient);
         let mut log = RunLog::new();
         run_single_stream(&mut sut, 64, &TestSettings::default(), &mut log, None)
     };
