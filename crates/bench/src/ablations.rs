@@ -44,11 +44,11 @@ fn sweep_estimates(soc: &Soc, graph: &Graph, scheds: &[Schedule]) -> Vec<f64> {
     for (i, sched) in scheds.iter().enumerate() {
         let ms = match seen.iter().find(|&&(j, _)| scheds[j] == *sched) {
             Some(&(_, ms)) => {
-                metrics().record_sweep_hit();
+                metrics().sweep_hits.inc();
                 ms
             }
             None => {
-                metrics().record_sweep_miss();
+                metrics().sweep_misses.inc();
                 let ms = estimate_query_secs(soc, graph, sched) * 1e3;
                 seen.push((i, ms));
                 ms
@@ -80,9 +80,9 @@ pub fn ablation_sync_overhead() -> String {
     };
     let sched = partition(&graph, &soc, &plan).expect("partitions");
     let sweep = SweepPlan::new(&soc, &graph, &sched);
-    metrics().record_sweep_miss();
+    metrics().sweep_misses.inc();
     let rows = par_map(&sync_values, default_threads(), |&sync_us| {
-        metrics().record_sweep_hit();
+        metrics().sweep_hits.inc();
         let ms = sweep.estimate_query_secs(PlanDelta::SyncOverheadUs(sync_us)) * 1e3;
         vec![
             format!("{sync_us:.0} us"),
@@ -214,10 +214,10 @@ pub fn ablation_interconnect() -> String {
             .find(|(j, _)| compiled[*j].1.schedule == dep.schedule)
             .map(|(_, sweep)| sweep);
         let ms = if let Some(sweep) = hit {
-            metrics().record_sweep_hit();
+            metrics().sweep_hits.inc();
             sweep.estimate_query_secs(PlanDelta::InterconnectGbps(gbps)) * 1e3
         } else {
-            metrics().record_sweep_miss();
+            metrics().sweep_misses.inc();
             let sweep = SweepPlan::new(soc, &dep.graph, &dep.schedule);
             let ms = sweep.estimate_query_secs(PlanDelta::InterconnectGbps(gbps)) * 1e3;
             lowered.push((i, sweep));
@@ -244,9 +244,9 @@ pub fn ablation_batch_size() -> String {
     // every stream per knob), and the independent knobs run in parallel
     // on their own thermal states.
     let plan = OfflinePlan::new(&soc, &dep.graph, &dep.offline_streams);
-    metrics().record_sweep_miss();
+    metrics().sweep_misses.inc();
     let rows = par_map(&[1usize, 2, 8, 32, 128], default_threads(), |&batch| {
-        metrics().record_sweep_hit();
+        metrics().sweep_hits.inc();
         let mut state = soc.new_state(22.0);
         let r = plan.execute(&mut state, 8192, batch);
         vec![batch.to_string(), format!("{:.1} FPS", r.throughput_fps)]

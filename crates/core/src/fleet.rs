@@ -23,9 +23,11 @@
 //!   a recompile, no allocation after the first wave;
 //! * one [`BatchState`] per (shard, chip) is refilled across waves, so
 //!   the steady state allocates nothing per wave;
-//! * a bounded [`FleetUnitMemo`] replays the score of units whose
-//!   sampled state is bit-equal to one already executed in the shard —
-//!   uniform sub-populations fast-forward instead of re-running.
+//! * a unit whose sampled state is bit-equal to the last unit of the
+//!   last flushed wave replays that unit's score instead of re-running.
+//!   Sorting makes equal keys contiguous, so this one entry replays every
+//!   unit an unbounded memo of executed units would — uniform
+//!   sub-populations fast-forward after their first wave.
 //!
 //! # Determinism contract
 //!
@@ -98,8 +100,7 @@ impl FleetConfig {
 }
 
 /// One device's scored trajectory: the values the fleet histograms
-/// record, and the unit the [`FleetUnitMemo`] replays for bit-equal
-/// units.
+/// record, and what a shard replays for a bit-equal unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitScore {
     /// Steady-state single-stream latency: the device's final query (ns).
@@ -110,121 +111,6 @@ pub struct UnitScore {
     /// top DVFS point (thermal ramp or battery saver); `None` if the
     /// device never slowed down.
     pub throttle_ns: Option<u64>,
-}
-
-/// Bounded LRU memo of unit trajectories, keyed by
-/// [`DeviceUnit::dedup_key`] — the cross-wave complement of the
-/// executor's within-wave frequency-bit dedup, in the mould of
-/// [`soc_sim::plan::ExecMemo`] (which fast-forwards *queries* within one
-/// deployment; this fast-forwards whole *devices* within one shard).
-/// Units with bit-equal sampled state run bit-equal trajectories, so
-/// the first execution's score serves every later duplicate.
-#[derive(Debug)]
-pub struct FleetUnitMemo {
-    /// `(key, score, last-touch stamp)`, sorted by key for binary search.
-    entries: Vec<([u64; 6], UnitScore, u64)>,
-    capacity: usize,
-    clock: u64,
-    hits: u64,
-    evictions: u64,
-}
-
-impl FleetUnitMemo {
-    /// Default capacity: comfortably above the distinct-key count of a
-    /// default-profile shard, so steady state evicts rarely.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// An empty memo with [`Self::DEFAULT_CAPACITY`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// An empty memo holding at most `capacity` unit trajectories.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "memo capacity must be positive");
-        FleetUnitMemo { entries: Vec::new(), capacity, clock: 0, hits: 0, evictions: 0 }
-    }
-
-    /// Replays the score of a unit with this exact sampled state, if one
-    /// already executed.
-    pub fn get(&mut self, key: &[u64; 6]) -> Option<UnitScore> {
-        self.clock += 1;
-        match self.entries.binary_search_by(|(k, _, _)| k.cmp(key)) {
-            Ok(i) => {
-                self.entries[i].2 = self.clock;
-                self.hits += 1;
-                Some(self.entries[i].1)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Records an executed unit's score, evicting the least-recently
-    /// touched entry when full. Re-inserting an existing key only
-    /// refreshes its stamp (bit-equal units score identically).
-    pub fn insert(&mut self, key: [u64; 6], score: UnitScore) {
-        self.clock += 1;
-        match self.entries.binary_search_by(|(k, _, _)| k.cmp(&key)) {
-            Ok(i) => self.entries[i].2 = self.clock,
-            Err(i) => {
-                if self.entries.len() == self.capacity {
-                    let lru = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, stamp))| *stamp)
-                        .map(|(j, _)| j)
-                        .expect("memo is non-empty when full");
-                    self.entries.remove(lru);
-                    self.evictions += 1;
-                    // Removal may shift the insertion point.
-                    let i = self
-                        .entries
-                        .binary_search_by(|(k, _, _)| k.cmp(&key))
-                        .expect_err("key is absent");
-                    self.entries.insert(i, (key, score, self.clock));
-                    return;
-                }
-                self.entries.insert(i, (key, score, self.clock));
-            }
-        }
-    }
-
-    /// Scores replayed instead of executed.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Entries dropped to stay within capacity.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Distinct unit trajectories currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the memo holds no trajectories.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl Default for FleetUnitMemo {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Per-(chip, backend, model) population scores: the sharded histograms
@@ -268,9 +154,10 @@ pub struct FleetReport {
     pub lane_queries: u64,
     /// Lane-queries that shared another lane's op-array walk.
     pub lanes_deduped: u64,
-    /// Devices replayed from a unit memo instead of executed.
+    /// Devices replayed from the last flushed unit instead of executed.
     pub memo_hits: u64,
-    /// Unit-memo entries evicted across all shards.
+    /// Unit-memo entries evicted across all shards: always 0, since a
+    /// shard keeps only the last flushed unit and evicts nothing.
     pub memo_evictions: u64,
     /// Per-(chip, backend, model) population scores.
     pub cells: Vec<FleetCell>,
@@ -324,7 +211,6 @@ struct ShardOut {
     lane_queries: u64,
     lanes_deduped: u64,
     memo_hits: u64,
-    memo_evictions: u64,
 }
 
 /// Reusable per-cell-group execution buffers: allocated once per
@@ -355,11 +241,11 @@ impl WaveScratch {
     }
 }
 
-/// Executes one wave of up to K units in lockstep, leaving one
-/// [`UnitScore`] per wave unit in `scratch.scores`.
+/// Executes one wave of up to K `(dedup key, unit)` pairs in lockstep,
+/// leaving one [`UnitScore`] per wave unit in `scratch.scores`.
 fn run_wave(
     target: &CellTarget,
-    wave: &[DeviceUnit],
+    wave: &[([u64; 6], DeviceUnit)],
     queries: u32,
     scratch: &mut WaveScratch,
     lane_queries: &mut u64,
@@ -369,7 +255,7 @@ fn run_wave(
     scratch.deltas.clear();
     scratch.states.clear();
     scratch.tops.clear();
-    for unit in wave {
+    for (_, unit) in wave {
         scratch
             .deltas
             .push(PlanDelta::QueryOverheadUs(base_overhead + unit.extra_query_overhead_us));
@@ -426,7 +312,6 @@ fn run_shard(config: &FleetConfig, targets: &[CellTarget], lo: u64, hi: u64) -> 
         lane_queries: 0,
         lanes_deduped: 0,
         memo_hits: 0,
-        memo_evictions: 0,
     };
     // Sample the shard's units, grouped by cell. This is the only place
     // the population ever exists, and only one shard of it at a time.
@@ -437,80 +322,55 @@ fn run_shard(config: &FleetConfig, targets: &[CellTarget], lo: u64, hi: u64) -> 
         let unit = sample_unit(config.seed, index, &config.profile);
         groups[cell].push((unit.dedup_key(), index, unit));
     }
+    let queries = config.queries_per_device;
     let mut scratch = WaveScratch::new(config.lanes);
-    let mut wave: Vec<DeviceUnit> = Vec::with_capacity(config.lanes);
-    let mut wave_keys: Vec<[u64; 6]> = Vec::with_capacity(config.lanes);
+    let mut wave: Vec<([u64; 6], DeviceUnit)> = Vec::with_capacity(config.lanes);
     for (cell, mut group) in groups.into_iter().enumerate() {
         // Sort by dedup key (index breaks ties deterministically):
         // bit-equal units land in the same wave, where the executor's
-        // frequency-bit dedup collapses them to one walk per step.
+        // frequency-bit dedup collapses them to one walk per step. Equal
+        // keys are then contiguous, so a unit can equal an executed unit
+        // only if that unit ended the last flushed wave.
         group.sort_unstable_by_key(|&(key, index, _)| (key, index));
         let target = &targets[cell];
-        let mut memo = FleetUnitMemo::new();
+        let mut last: Option<([u64; 6], UnitScore)> = None;
         scratch.batch_plan = None;
         wave.clear();
-        wave_keys.clear();
         for (key, _, unit) in group {
-            if let Some(score) = memo.get(&key) {
+            if let Some((_, score)) = last.filter(|&(k, _)| k == key) {
+                out.memo_hits += 1;
                 out.cells[cell].record(score);
                 continue;
             }
-            wave.push(unit);
-            wave_keys.push(key);
+            wave.push((key, unit));
             if wave.len() == config.lanes {
-                flush_wave(
-                    target,
-                    &wave,
-                    &wave_keys,
-                    config.queries_per_device,
-                    &mut scratch,
-                    &mut memo,
-                    &mut out,
-                    cell,
-                );
+                last = Some(flush_wave(target, &wave, queries, &mut scratch, &mut out, cell));
                 wave.clear();
-                wave_keys.clear();
             }
         }
         if !wave.is_empty() {
-            flush_wave(
-                target,
-                &wave,
-                &wave_keys,
-                config.queries_per_device,
-                &mut scratch,
-                &mut memo,
-                &mut out,
-                cell,
-            );
-            wave.clear();
-            wave_keys.clear();
+            flush_wave(target, &wave, queries, &mut scratch, &mut out, cell);
         }
-        out.memo_hits += memo.hits();
-        out.memo_evictions += memo.evictions();
     }
     out
 }
 
-/// Executes a pending wave and folds its scores into the shard output
-/// and memo.
-#[allow(clippy::too_many_arguments)]
+/// Executes a pending wave, folds its scores into the shard output, and
+/// returns the key and score of its last unit.
 fn flush_wave(
     target: &CellTarget,
-    wave: &[DeviceUnit],
-    wave_keys: &[[u64; 6]],
+    wave: &[([u64; 6], DeviceUnit)],
     queries: u32,
     scratch: &mut WaveScratch,
-    memo: &mut FleetUnitMemo,
     out: &mut ShardOut,
     cell: usize,
-) {
+) -> ([u64; 6], UnitScore) {
     run_wave(target, wave, queries, scratch, &mut out.lane_queries, &mut out.lanes_deduped);
-    for (i, &key) in wave_keys.iter().enumerate() {
-        let score = scratch.scores[i];
-        memo.insert(key, score);
+    for &score in &scratch.scores {
         out.cells[cell].record(score);
     }
+    let last = wave.len() - 1;
+    (wave[last].0, scratch.scores[last])
 }
 
 /// The submission path a chip's fleet units run: its generation's suite
@@ -579,7 +439,8 @@ pub fn run_fleet(cache: &CompileCache, config: &FleetConfig) -> Result<FleetRepo
         let out = run_shard(config, &targets, lo, hi);
         // Live observability only — the report never reads the global
         // registry, so racy cross-shard ordering cannot leak into it.
-        metrics().record_fleet_shard(hi - lo, out.lanes_deduped);
+        metrics().fleet_devices_simulated.add(hi - lo);
+        metrics().fleet_lanes_deduped.add(out.lanes_deduped);
         out
     });
 
@@ -613,7 +474,6 @@ pub fn run_fleet(cache: &CompileCache, config: &FleetConfig) -> Result<FleetRepo
         report.lane_queries += out.lane_queries;
         report.lanes_deduped += out.lanes_deduped;
         report.memo_hits += out.memo_hits;
-        report.memo_evictions += out.memo_evictions;
         for (cell, shard) in cells.iter_mut().zip(out.cells) {
             cell.devices += shard.devices;
             cell.throttled_devices += shard.throttled_devices;
@@ -739,26 +599,48 @@ mod tests {
         config
     }
 
+    /// Keeping only the last flushed unit replays exactly the units an
+    /// unbounded memo of executed units would. The rare middle speed bin
+    /// makes a run of equal keys shorter than a wave.
     #[test]
-    fn unit_memo_replays_hits_and_evicts_lru() {
-        let mut memo = FleetUnitMemo::with_capacity(2);
-        let score = |v: u64| UnitScore { latency_ns: v, energy_uj: v, throttle_ns: None };
-        let key = |v: u64| [v; 6];
-        assert!(memo.get(&key(1)).is_none());
-        memo.insert(key(1), score(1));
-        memo.insert(key(2), score(2));
-        assert_eq!(memo.get(&key(1)), Some(score(1))); // touch 1 -> 2 is LRU
-        assert_eq!(memo.hits(), 1);
-        memo.insert(key(3), score(3)); // evicts 2
-        assert_eq!(memo.evictions(), 1);
-        assert_eq!(memo.len(), 2);
-        assert!(memo.get(&key(2)).is_none(), "evicted key must miss");
-        assert_eq!(memo.get(&key(1)), Some(score(1)));
-        assert_eq!(memo.get(&key(3)), Some(score(3)));
-        // Re-inserting a resident key neither grows nor evicts.
-        memo.insert(key(1), score(1));
-        assert_eq!(memo.len(), 2);
-        assert_eq!(memo.evictions(), 1);
+    fn replays_match_an_unbounded_memo() {
+        let cache = CompileCache::new();
+        let mut cells = None;
+        for (lanes, bins, expected) in [(2, 2, 93), (3, 3, 88), (8, 3, 81), (32, 3, 33)] {
+            let mut config = small_config(97, 1);
+            config.chips = vec![ChipId::Dimensity1100];
+            config.shard_devices = 97;
+            config.lanes = lanes;
+            config.profile = FleetProfile {
+                speed_bins: [(1.0, 0.5), (0.96, 0.02), (0.94, 0.48)][..bins].to_vec(),
+                ..FleetProfile::uniform(22.0)
+            };
+            // Oracle: walk the shard's sorted units; a unit is a replay
+            // exactly when an equal-key unit ran in an already flushed wave.
+            let mut units: Vec<([u64; 6], u64)> = (0..config.devices)
+                .map(|i| (sample_unit(config.seed, i, &config.profile).dedup_key(), i))
+                .collect();
+            units.sort_unstable();
+            let (mut flushed, mut pending, mut replays) = (Vec::new(), Vec::new(), 0u64);
+            for (key, _) in units {
+                if flushed.contains(&key) {
+                    replays += 1;
+                } else {
+                    pending.push(key);
+                    if pending.len() == lanes {
+                        flushed.append(&mut pending);
+                    }
+                }
+            }
+            let report = run_fleet(&cache, &config).unwrap();
+            assert_eq!(report.memo_hits, replays, "{lanes} lanes, {bins} bins");
+            assert_eq!(replays, expected, "{lanes} lanes, {bins} bins");
+            assert_eq!(report.memo_evictions, 0);
+            if bins == 3 {
+                // Replayed scores equal executed ones, whatever the lanes.
+                assert_eq!(cells.get_or_insert_with(|| report.cells.clone()), &report.cells);
+            }
+        }
     }
 
     #[test]

@@ -569,11 +569,11 @@ fn cached_accuracy_score(
     let cache = ACCURACY_SCORES.get_or_init(|| Mutex::new(HashMap::new()));
     let cached = cache.lock().unwrap().get(&key).copied();
     if let Some(score) = cached {
-        metrics().record_sweep_hit();
+        metrics().sweep_hits.inc();
         let _ = run_accuracy_advance(sut, dataset_len, &rules.settings, log);
         return score;
     }
-    metrics().record_sweep_miss();
+    metrics().sweep_misses.inc();
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let acc = run_accuracy(sut, dataset_len, &rules.settings, log, threads, |s| {
         validation.predict(s)
@@ -765,7 +765,8 @@ pub fn run_benchmark_planned(
         None
     };
 
-    metrics().record_run(single_stream.queries);
+    metrics().runs_completed.inc();
+    metrics().queries_issued.add(single_stream.queries);
     let run_wall = run_started.elapsed();
     crate::obs::pool::run_wall_hist()
         .record(run_wall.as_nanos().min(u128::from(u64::MAX)) as u64);
@@ -793,7 +794,8 @@ pub fn run_benchmark_planned(
             multi_stream: multi_stream_trace,
             energy,
         };
-        metrics().record_throttling(trace.throttled_queries(), trace.throttle_events());
+        metrics().throttled_queries.add(trace.throttled_queries());
+        metrics().throttle_events.add(trace.throttle_events());
         sink.push(trace);
     }
 

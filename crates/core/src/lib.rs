@@ -74,9 +74,7 @@ pub mod tuning;
 pub use app::{run_suite, submission_backend, AppConfig, SuiteReport};
 pub use ai_tax::{host_stage_time, EndToEndSut};
 pub use extensions::{extended_suite, extension_defs};
-pub use fleet::{
-    fleet_report_text, render_fleet_report, run_fleet, FleetConfig, FleetReport, FleetUnitMemo,
-};
+pub use fleet::{fleet_report_text, render_fleet_report, run_fleet, FleetConfig, FleetReport};
 pub use submission::{Date, SubmissionEntry, SubmissionRegistry};
 pub use audit::{audit, AuditFinding, AuditReport, SubmissionPackage};
 pub use harness::{run_benchmark, BenchmarkScore, BenchmarkTrace, RunRules};

@@ -1,13 +1,21 @@
 //! Process-wide metrics registry and trace collection.
 //!
 //! Every layer of the measurement stack reports here: the
-//! [`CompileCache`][crate::runner::CompileCache] reports hit/miss
-//! counters, the [`SuiteRunner`][crate::runner::SuiteRunner] reports
-//! per-spec wall-clock, and the harness reports run/query counts plus
+//! [`CompileCache`][crate::runner::CompileCache] counts cache hits and
+//! misses, the [`SuiteRunner`][crate::runner::SuiteRunner] reports
+//! per-spec wall-clock, and the harness counts runs and queries plus
 //! thermal-throttle statistics extracted from run traces. A
 //! [`MetricsSnapshot`] taken before and after a workload yields the delta
 //! attributable to it — the `reproduce --trace` flag uses exactly this to
 //! annotate each artifact.
+//!
+//! Every counter is one row of the `counters!` table below: its field,
+//! its Prometheus family and its help text. The table generates the
+//! [`MetricsSnapshot`] field, its [`MetricsSnapshot::since`] delta, its
+//! [`MetricsSnapshot::families`] entry (which
+//! [`prometheus_exposition`][crate::profile::prometheus::prometheus_exposition]
+//! renders) and the [`MetricsRegistry`] [`Counter`]. Adding a counter is
+//! one row, plus its line in the exposition test's pinned expected text.
 //!
 //! Recording is lock-free for counters (relaxed atomics) and never feeds
 //! back into the simulation, so instrumented runs stay bit-identical to
@@ -15,7 +23,7 @@
 
 use crate::harness::BenchmarkTrace;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Wall-clock spent executing one run spec (one benchmark-matrix cell).
@@ -27,167 +35,126 @@ pub struct SpecTiming {
     pub wall_ms: f64,
 }
 
-/// A point-in-time copy of every registry counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Deployment lookups answered from a compile cache.
-    pub compile_hits: usize,
-    /// Deployment lookups that triggered a compile.
-    pub compile_misses: usize,
-    /// Query-plan lookups answered from a plan cache.
-    pub plan_hits: usize,
-    /// Query-plan lookups that triggered a plan compilation.
-    pub plan_misses: usize,
-    /// Fleet devices fully simulated (sampled, executed or replayed,
-    /// and scored) by the fleet executor.
-    pub fleet_devices_simulated: u64,
-    /// Fleet lane-queries that shared another lane's op-array walk
-    /// (dispatch-frequency bits deduplicated within a wave step).
-    pub fleet_lanes_deduped: u64,
-    /// Sweep-engine lookups (accuracy scores, delta re-lowerings,
-    /// steady-state replays) answered from a sweep cache.
-    pub sweep_hits: usize,
-    /// Sweep-engine lookups that had to do the full computation.
-    pub sweep_misses: usize,
-    /// Benchmark runs completed (accuracy + performance flows).
-    pub runs_completed: usize,
-    /// Performance queries issued across all runs.
-    pub queries_issued: u64,
-    /// Queries dispatched while the device was throttled (traced runs
-    /// only — untraced runs don't observe per-query DVFS state).
-    pub throttled_queries: u64,
-    /// Transitions into throttling along traced span timelines.
-    pub throttle_events: u64,
-    /// Tuned-schedule lookups answered from the tuned compile cache.
-    pub tuned_hits: usize,
-    /// Tuned-schedule lookups that ran the auto-tuner search.
-    pub tuned_misses: usize,
-    /// Complete schedule candidates exactly evaluated by the auto-tuner.
-    pub tuner_candidates: u64,
-    /// Partial assignments eliminated by the tuner's admissible bound.
-    pub tuner_pruned: u64,
-}
+/// A monotonically increasing counter. Its value publishes no other
+/// data, so every access is a relaxed atomic.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
-impl MetricsSnapshot {
-    /// The counter deltas accumulated since `earlier` was taken.
-    ///
-    /// Uses saturating arithmetic so a stale baseline can never underflow.
+impl Counter {
+    /// Adds `n` to the counter.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one to the counter.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// The counter's current value.
     #[must_use]
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            compile_hits: self.compile_hits.saturating_sub(earlier.compile_hits),
-            compile_misses: self.compile_misses.saturating_sub(earlier.compile_misses),
-            plan_hits: self.plan_hits.saturating_sub(earlier.plan_hits),
-            plan_misses: self.plan_misses.saturating_sub(earlier.plan_misses),
-            fleet_devices_simulated: self
-                .fleet_devices_simulated
-                .saturating_sub(earlier.fleet_devices_simulated),
-            fleet_lanes_deduped: self.fleet_lanes_deduped.saturating_sub(earlier.fleet_lanes_deduped),
-            sweep_hits: self.sweep_hits.saturating_sub(earlier.sweep_hits),
-            sweep_misses: self.sweep_misses.saturating_sub(earlier.sweep_misses),
-            runs_completed: self.runs_completed.saturating_sub(earlier.runs_completed),
-            queries_issued: self.queries_issued.saturating_sub(earlier.queries_issued),
-            throttled_queries: self.throttled_queries.saturating_sub(earlier.throttled_queries),
-            throttle_events: self.throttle_events.saturating_sub(earlier.throttle_events),
-            tuned_hits: self.tuned_hits.saturating_sub(earlier.tuned_hits),
-            tuned_misses: self.tuned_misses.saturating_sub(earlier.tuned_misses),
-            tuner_candidates: self.tuner_candidates.saturating_sub(earlier.tuner_candidates),
-            tuner_pruned: self.tuner_pruned.saturating_sub(earlier.tuner_pruned),
-        }
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// The process-wide registry. Obtain it via [`metrics`].
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    compile_hits: AtomicUsize,
-    compile_misses: AtomicUsize,
-    plan_hits: AtomicUsize,
-    plan_misses: AtomicUsize,
-    fleet_devices_simulated: AtomicU64,
-    fleet_lanes_deduped: AtomicU64,
-    sweep_hits: AtomicUsize,
-    sweep_misses: AtomicUsize,
-    runs_completed: AtomicUsize,
-    queries_issued: AtomicU64,
-    throttled_queries: AtomicU64,
-    throttle_events: AtomicU64,
-    tuned_hits: AtomicUsize,
-    tuned_misses: AtomicUsize,
-    tuner_candidates: AtomicU64,
-    tuner_pruned: AtomicU64,
-    spec_wall: Mutex<Vec<SpecTiming>>,
+/// Declares every registry counter from one row each:
+/// `field => "prometheus_family", "help text";`. The help text is also
+/// the field's doc; `///` lines before a row add rustdoc-only detail.
+macro_rules! counters {
+    ($($(#[doc = $detail:literal])* $field:ident => $family:literal, $help:literal;)*) => {
+        /// A point-in-time copy of every registry counter.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $help] $(#[doc = $detail])* pub $field: u64,)*
+        }
+
+        impl MetricsSnapshot {
+            /// The counter deltas accumulated since `earlier` was taken.
+            ///
+            /// Uses saturating arithmetic so a stale baseline can never
+            /// underflow.
+            #[must_use]
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot { $($field: self.$field.saturating_sub(earlier.$field),)* }
+            }
+
+            /// Every counter as `(Prometheus family, help text, value)`,
+            /// in declaration order.
+            #[must_use]
+            pub fn families(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$(($family, $help, self.$field),)*]
+            }
+        }
+
+        /// The process-wide registry. Obtain it via [`metrics`].
+        #[derive(Debug, Default)]
+        pub struct MetricsRegistry {
+            $(#[doc = $help] $(#[doc = $detail])* pub $field: Counter,)*
+            spec_wall: Mutex<Vec<SpecTiming>>,
+        }
+
+        impl MetricsRegistry {
+            /// A point-in-time copy of every counter.
+            ///
+            /// Non-destructive: reading a snapshot never changes registry
+            /// state, so any number of observers (reports, Prometheus
+            /// exposition, delta baselines) can snapshot concurrently
+            /// without coordinating. The per-spec wall-clock timings are
+            /// *not* part of the snapshot — they are consumed destructively
+            /// via [`Self::take_spec_timings`], because each timing entry
+            /// belongs to exactly one artifact's trace file.
+            #[must_use]
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($field: self.$field.get(),)* }
+            }
+        }
+    };
+}
+
+counters! {
+    compile_hits => "mlperf_compile_cache_hits_total",
+        "Deployment lookups answered from a compile cache.";
+    compile_misses => "mlperf_compile_cache_misses_total",
+        "Deployment lookups that triggered a compile.";
+    plan_hits => "mlperf_plan_cache_hits_total",
+        "Query-plan lookups answered from a plan cache.";
+    plan_misses => "mlperf_plan_cache_misses_total",
+        "Query-plan lookups that triggered a plan compilation.";
+    /// Each was sampled, executed or replayed, and scored.
+    fleet_devices_simulated => "mlperf_fleet_devices_simulated_total",
+        "Fleet devices fully simulated by the fleet executor.";
+    /// The executor deduplicates dispatch-frequency bits within a wave
+    /// step.
+    fleet_lanes_deduped => "mlperf_fleet_lanes_deduped_total",
+        "Fleet lane-queries that shared another lane's op-array walk.";
+    /// Accuracy scores, delta re-lowerings and the ablations' schedule
+    /// dedup all count here.
+    sweep_hits => "mlperf_sweep_cache_hits_total",
+        "Sweep-engine lookups answered from a sweep cache.";
+    sweep_misses => "mlperf_sweep_cache_misses_total",
+        "Sweep-engine lookups that had to do the full computation.";
+    /// Accuracy and performance flows alike.
+    runs_completed => "mlperf_runs_completed_total",
+        "Benchmark runs completed.";
+    queries_issued => "mlperf_queries_issued_total",
+        "Performance queries issued across all runs.";
+    /// Untraced runs don't observe per-query DVFS state.
+    throttled_queries => "mlperf_throttled_queries_total",
+        "Queries dispatched while the device was throttled (traced runs).";
+    throttle_events => "mlperf_throttle_events_total",
+        "Transitions into throttling along traced span timelines.";
+    tuned_hits => "mlperf_tuned_cache_hits_total",
+        "Tuned-schedule lookups answered from the tuned compile cache.";
+    tuned_misses => "mlperf_tuned_cache_misses_total",
+        "Tuned-schedule lookups that ran the auto-tuner search.";
+    tuner_candidates => "mlperf_tuner_candidates_total",
+        "Complete schedule candidates exactly evaluated by the auto-tuner.";
+    tuner_pruned => "mlperf_tuner_pruned_total",
+        "Partial assignments eliminated by the tuner's admissible bound.";
 }
 
 impl MetricsRegistry {
-    /// Records one compile-cache hit.
-    pub fn record_compile_hit(&self) {
-        self.compile_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one compile-cache miss (a real compile).
-    pub fn record_compile_miss(&self) {
-        self.compile_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one plan-cache hit.
-    pub fn record_plan_hit(&self) {
-        self.plan_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one plan-cache miss (a real plan compilation).
-    pub fn record_plan_miss(&self) {
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one processed fleet shard: the devices it scored and the
-    /// lane-queries whose op-array walk was deduplicated against another
-    /// lane in the same wave step.
-    pub fn record_fleet_shard(&self, devices: u64, lanes_deduped: u64) {
-        self.fleet_devices_simulated.fetch_add(devices, Ordering::Relaxed);
-        self.fleet_lanes_deduped.fetch_add(lanes_deduped, Ordering::Relaxed);
-    }
-
-    /// Records one sweep-cache hit (a reused accuracy score, delta
-    /// re-lowering, or steady-state replay).
-    pub fn record_sweep_hit(&self) {
-        self.sweep_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one sweep-cache miss (the full computation ran).
-    pub fn record_sweep_miss(&self) {
-        self.sweep_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed benchmark run and its query volume.
-    pub fn record_run(&self, queries: u64) {
-        self.runs_completed.fetch_add(1, Ordering::Relaxed);
-        self.queries_issued.fetch_add(queries, Ordering::Relaxed);
-    }
-
-    /// Records throttle statistics extracted from a traced run.
-    pub fn record_throttling(&self, throttled_queries: u64, throttle_events: u64) {
-        self.throttled_queries.fetch_add(throttled_queries, Ordering::Relaxed);
-        self.throttle_events.fetch_add(throttle_events, Ordering::Relaxed);
-    }
-
-    /// Records one tuned-schedule cache hit.
-    pub fn record_tuned_hit(&self) {
-        self.tuned_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one tuned-schedule cache miss (a real tuner search).
-    pub fn record_tuned_miss(&self) {
-        self.tuned_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed tuner search: the complete candidates it
-    /// evaluated exactly and the partials its bound eliminated.
-    pub fn record_tuner_search(&self, candidates: u64, pruned: u64) {
-        self.tuner_candidates.fetch_add(candidates, Ordering::Relaxed);
-        self.tuner_pruned.fetch_add(pruned, Ordering::Relaxed);
-    }
-
     /// Records the wall-clock one run spec took.
     ///
     /// # Panics
@@ -195,36 +162,6 @@ impl MetricsRegistry {
     /// Panics if the timing mutex was poisoned by a panicking worker.
     pub fn record_spec_wall(&self, label: String, wall_ms: f64) {
         self.spec_wall.lock().unwrap().push(SpecTiming { label, wall_ms });
-    }
-
-    /// A point-in-time copy of every counter.
-    ///
-    /// Non-destructive: reading a snapshot never changes registry state,
-    /// so any number of observers (reports, Prometheus exposition, delta
-    /// baselines) can snapshot concurrently without coordinating. The
-    /// per-spec wall-clock timings are *not* part of the snapshot — they
-    /// are consumed destructively via [`Self::take_spec_timings`], because
-    /// each timing entry belongs to exactly one artifact's trace file.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            compile_hits: self.compile_hits.load(Ordering::Relaxed),
-            compile_misses: self.compile_misses.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            fleet_devices_simulated: self.fleet_devices_simulated.load(Ordering::Relaxed),
-            fleet_lanes_deduped: self.fleet_lanes_deduped.load(Ordering::Relaxed),
-            sweep_hits: self.sweep_hits.load(Ordering::Relaxed),
-            sweep_misses: self.sweep_misses.load(Ordering::Relaxed),
-            runs_completed: self.runs_completed.load(Ordering::Relaxed),
-            queries_issued: self.queries_issued.load(Ordering::Relaxed),
-            throttled_queries: self.throttled_queries.load(Ordering::Relaxed),
-            throttle_events: self.throttle_events.load(Ordering::Relaxed),
-            tuned_hits: self.tuned_hits.load(Ordering::Relaxed),
-            tuned_misses: self.tuned_misses.load(Ordering::Relaxed),
-            tuner_candidates: self.tuner_candidates.load(Ordering::Relaxed),
-            tuner_pruned: self.tuner_pruned.load(Ordering::Relaxed),
-        }
     }
 
     /// Removes and returns every per-spec wall-clock entry recorded so
@@ -317,24 +254,25 @@ mod tests {
     #[test]
     fn snapshot_delta() {
         let r = MetricsRegistry::default();
-        r.record_compile_miss();
-        r.record_plan_miss();
+        r.compile_misses.inc();
+        r.plan_misses.inc();
         let before = r.snapshot();
-        r.record_compile_hit();
-        r.record_plan_hit();
-        r.record_plan_hit();
-        r.record_sweep_hit();
-        r.record_sweep_hit();
-        r.record_sweep_miss();
-        r.record_run(100);
-        r.record_throttling(5, 1);
-        r.record_fleet_shard(2048, 700);
-        r.record_fleet_shard(1024, 300);
-        r.record_tuned_miss();
-        r.record_tuned_hit();
-        r.record_tuned_hit();
-        r.record_tuned_hit();
-        r.record_tuner_search(40, 900);
+        r.compile_hits.inc();
+        r.plan_hits.add(2);
+        r.sweep_hits.add(2);
+        r.sweep_misses.inc();
+        r.runs_completed.inc();
+        r.queries_issued.add(100);
+        r.throttled_queries.add(5);
+        r.throttle_events.inc();
+        r.fleet_devices_simulated.add(2048);
+        r.fleet_lanes_deduped.add(700);
+        r.fleet_devices_simulated.add(1024);
+        r.fleet_lanes_deduped.add(300);
+        r.tuned_misses.inc();
+        r.tuned_hits.add(3);
+        r.tuner_candidates.add(40);
+        r.tuner_pruned.add(900);
         let delta = r.snapshot().since(&before);
         assert_eq!(delta.compile_hits, 1);
         assert_eq!(delta.compile_misses, 0);
@@ -418,7 +356,7 @@ mod tests {
     #[test]
     fn global_registry_is_shared() {
         let before = metrics().snapshot();
-        metrics().record_run(1);
+        metrics().runs_completed.inc();
         let after = metrics().snapshot();
         assert!(after.runs_completed > before.runs_completed);
     }

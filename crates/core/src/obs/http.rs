@@ -17,25 +17,25 @@
 //! unobserved run. This endpoint is the first brick of the ROADMAP
 //! benchmark-as-a-service daemon.
 
-use crate::metrics::metrics;
+use crate::metrics::{metrics, Counter};
 use crate::obs::pool::{pool, run_wall_hist, runs_board};
 use crate::profile::prometheus::{hist_exposition, pool_exposition, prometheus_exposition};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Per-route request counters, exposed on `/metrics` itself. Only the
-/// `obs-http` thread increments them, one request at a time, so plain
-/// relaxed atomics never contend.
+/// `obs-http` thread increments them, one request at a time, so the
+/// relaxed counters never contend.
 #[derive(Debug, Default)]
 struct RouteCounters {
-    healthz: AtomicU64,
-    metrics: AtomicU64,
-    runs: AtomicU64,
-    not_found: AtomicU64,
+    healthz: Counter,
+    metrics: Counter,
+    runs: Counter,
+    not_found: Counter,
 }
 
 fn route_counters() -> &'static RouteCounters {
@@ -66,7 +66,7 @@ pub fn metrics_page() -> String {
     ] {
         out.push_str(&format!(
             "mlperf_obs_requests_total{{route=\"{route}\"}} {}\n",
-            counter.load(Ordering::Relaxed)
+            counter.get()
         ));
     }
     out
@@ -77,19 +77,19 @@ fn respond(path: &str) -> (&'static str, &'static str, String) {
     let counters = route_counters();
     match path {
         "/healthz" => {
-            counters.healthz.fetch_add(1, Ordering::Relaxed);
+            counters.healthz.inc();
             ("200 OK", "text/plain; charset=utf-8", "ok\n".to_owned())
         }
         "/metrics" => {
-            counters.metrics.fetch_add(1, Ordering::Relaxed);
+            counters.metrics.inc();
             ("200 OK", "text/plain; version=0.0.4; charset=utf-8", metrics_page())
         }
         "/runs" => {
-            counters.runs.fetch_add(1, Ordering::Relaxed);
+            counters.runs.inc();
             ("200 OK", "application/json; charset=utf-8", runs_board().to_json())
         }
         _ => {
-            counters.not_found.fetch_add(1, Ordering::Relaxed);
+            counters.not_found.inc();
             ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_owned())
         }
     }
@@ -254,9 +254,9 @@ mod tests {
 
     #[test]
     fn metrics_page_counts_requests_monotonically() {
-        let before = route_counters().metrics.load(Ordering::Relaxed);
+        let before = route_counters().metrics.get();
         let page = metrics_page();
         assert!(page.contains("mlperf_obs_requests_total{route=\"/healthz\"}"));
-        assert!(route_counters().metrics.load(Ordering::Relaxed) >= before);
+        assert!(route_counters().metrics.get() >= before);
     }
 }

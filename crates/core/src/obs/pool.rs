@@ -101,7 +101,7 @@ pub fn runs_board() -> &'static RunsBoard {
     BOARD.get_or_init(RunsBoard::default)
 }
 
-fn rate(hits: usize, misses: usize) -> String {
+fn rate(hits: u64, misses: u64) -> String {
     let total = hits + misses;
     if total == 0 {
         "-".to_owned()

@@ -40,118 +40,9 @@ fn sample(out: &mut String, name: &str, help: &str, kind: &str, value: impl std:
 #[must_use]
 pub fn prometheus_exposition(snap: &MetricsSnapshot, timings: &[SpecTiming]) -> String {
     let mut out = String::new();
-    sample(
-        &mut out,
-        "mlperf_compile_cache_hits_total",
-        "Deployment lookups answered from a compile cache.",
-        "counter",
-        snap.compile_hits,
-    );
-    sample(
-        &mut out,
-        "mlperf_compile_cache_misses_total",
-        "Deployment lookups that triggered a compile.",
-        "counter",
-        snap.compile_misses,
-    );
-    sample(
-        &mut out,
-        "mlperf_plan_cache_hits_total",
-        "Query-plan lookups answered from a plan cache.",
-        "counter",
-        snap.plan_hits,
-    );
-    sample(
-        &mut out,
-        "mlperf_plan_cache_misses_total",
-        "Query-plan lookups that triggered a plan compilation.",
-        "counter",
-        snap.plan_misses,
-    );
-    sample(
-        &mut out,
-        "mlperf_fleet_devices_simulated_total",
-        "Fleet devices fully simulated by the fleet executor.",
-        "counter",
-        snap.fleet_devices_simulated,
-    );
-    sample(
-        &mut out,
-        "mlperf_fleet_lanes_deduped_total",
-        "Fleet lane-queries that shared another lane's op-array walk.",
-        "counter",
-        snap.fleet_lanes_deduped,
-    );
-    sample(
-        &mut out,
-        "mlperf_sweep_cache_hits_total",
-        "Sweep-engine lookups answered from a sweep cache.",
-        "counter",
-        snap.sweep_hits,
-    );
-    sample(
-        &mut out,
-        "mlperf_sweep_cache_misses_total",
-        "Sweep-engine lookups that had to do the full computation.",
-        "counter",
-        snap.sweep_misses,
-    );
-    sample(
-        &mut out,
-        "mlperf_runs_completed_total",
-        "Benchmark runs completed.",
-        "counter",
-        snap.runs_completed,
-    );
-    sample(
-        &mut out,
-        "mlperf_queries_issued_total",
-        "Performance queries issued across all runs.",
-        "counter",
-        snap.queries_issued,
-    );
-    sample(
-        &mut out,
-        "mlperf_throttled_queries_total",
-        "Queries dispatched while the device was throttled (traced runs).",
-        "counter",
-        snap.throttled_queries,
-    );
-    sample(
-        &mut out,
-        "mlperf_throttle_events_total",
-        "Transitions into throttling along traced span timelines.",
-        "counter",
-        snap.throttle_events,
-    );
-    sample(
-        &mut out,
-        "mlperf_tuned_cache_hits_total",
-        "Tuned-schedule lookups answered from the tuned compile cache.",
-        "counter",
-        snap.tuned_hits,
-    );
-    sample(
-        &mut out,
-        "mlperf_tuned_cache_misses_total",
-        "Tuned-schedule lookups that ran the auto-tuner search.",
-        "counter",
-        snap.tuned_misses,
-    );
-    sample(
-        &mut out,
-        "mlperf_tuner_candidates_total",
-        "Complete schedule candidates exactly evaluated by the auto-tuner.",
-        "counter",
-        snap.tuner_candidates,
-    );
-    sample(
-        &mut out,
-        "mlperf_tuner_pruned_total",
-        "Partial assignments eliminated by the tuner's admissible bound.",
-        "counter",
-        snap.tuner_pruned,
-    );
+    for (family, help, value) in snap.families() {
+        sample(&mut out, family, help, "counter", value);
+    }
     if !timings.is_empty() {
         header(&mut out, "mlperf_spec_wall_ms", "Host wall-clock one run spec took.", "gauge");
         for t in timings {

@@ -130,11 +130,11 @@ impl CompileCache {
         let key = (chip, backend, model);
         if let Some(cached) = self.deployments.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            metrics().record_compile_hit();
+            metrics().compile_hits.inc();
             return cached.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        metrics().record_compile_miss();
+        metrics().compile_misses.inc();
         let _span = crate::obs::span::span(crate::obs::span::Phase::Compile, || {
             format!("{chip}/{backend}/{model:?}")
         });
@@ -172,11 +172,11 @@ impl CompileCache {
         let key = (chip, backend, model);
         if let Some(cached) = self.plans.lock().unwrap().get(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            metrics().record_plan_hit();
+            metrics().plan_hits.inc();
             return Ok(cached.clone());
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        metrics().record_plan_miss();
+        metrics().plan_misses.inc();
         let deployment = self.deployment(chip, backend, model)?;
         let _span = crate::obs::span::span(crate::obs::span::Phase::Plan, || {
             format!("{chip}/{backend}/{model:?}")
@@ -210,10 +210,10 @@ impl CompileCache {
     ) -> Result<Arc<SweepPlan>, CompileError> {
         let key = (chip, backend, model);
         if let Some(cached) = self.sweeps.lock().unwrap().get(&key) {
-            metrics().record_sweep_hit();
+            metrics().sweep_hits.inc();
             return Ok(Arc::clone(cached));
         }
-        metrics().record_sweep_miss();
+        metrics().sweep_misses.inc();
         let deployment = self.deployment(chip, backend, model)?;
         let _span = crate::obs::span::span(crate::obs::span::Phase::Plan, || {
             format!("sweep/{chip}/{backend}/{model:?}")
@@ -250,11 +250,11 @@ impl CompileCache {
         let key = (chip, backend, model, *config);
         if let Some(cached) = self.tuned.lock().unwrap().get(&key) {
             self.tuned_hits.fetch_add(1, Ordering::Relaxed);
-            metrics().record_tuned_hit();
+            metrics().tuned_hits.inc();
             return Ok(Arc::clone(cached));
         }
         self.tuned_misses.fetch_add(1, Ordering::Relaxed);
-        metrics().record_tuned_miss();
+        metrics().tuned_misses.inc();
         let deployment = self.deployment(chip, backend, model)?;
         let _span = crate::obs::span::span(crate::obs::span::Phase::Plan, || {
             format!("tune/{chip}/{backend}/{model:?}")
@@ -263,7 +263,8 @@ impl CompileCache {
         // Search and re-plan outside the cache lock; racing workers
         // produce identical outcomes, first insert wins.
         let outcome = tune(&soc, &deployment.graph, &deployment.schedule, config);
-        metrics().record_tuner_search(outcome.stats.candidates, outcome.stats.pruned);
+        metrics().tuner_candidates.add(outcome.stats.candidates);
+        metrics().tuner_pruned.add(outcome.stats.pruned);
         let mut tuned_dep = (*deployment).clone();
         // Offline runs reuse the single-stream schedule whenever the
         // backend didn't compile a dedicated offline stream; keep that

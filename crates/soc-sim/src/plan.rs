@@ -270,7 +270,7 @@ impl QueryPlan {
         );
 
         let steady = match memo {
-            Some(memo) => memo.lookup_or_record(self, freq),
+            Some(memo) => memo.get_or_record(freq, |freq| SteadyState::from_plan(self, freq)),
             None => SteadyState::from_plan(self, freq),
         };
         let SteadyState { stage_compute, energy_terms, compute_total } = steady;
@@ -310,9 +310,9 @@ impl QueryPlan {
 
 /// The frequency-dependent slice of one executed query: everything the
 /// per-op roofline loop produces before the (state-dependent) thermal and
-/// energy bookkeeping.
+/// energy bookkeeping. An [`ExecMemo`] records one per operating point.
 #[derive(Debug, Clone)]
-struct SteadyState {
+pub struct SteadyState {
     stage_compute: Vec<SimDuration>,
     energy_terms: f64,
     compute_total: SimDuration,
@@ -346,105 +346,70 @@ impl SteadyState {
     }
 }
 
-/// Steady-state fast-forward memo for [`QueryPlan::execute_memo`], keyed
-/// by the exact bits of the query's DVFS frequency factor.
+/// A memo keyed by the exact bits of a DVFS frequency factor, sorted for
+/// binary search: the first lookup at an operating point computes and
+/// records its value, every later one replays it, bit-identical by
+/// construction.
 ///
-/// Entries are kept **sorted by frequency bits** so lookups are a binary
-/// search, and the number of retained operating points is bounded: past
-/// [`ExecMemo::DEFAULT_CAPACITY`] the least-recently-used entry is
-/// evicted (a later query at that frequency simply re-records the walk —
-/// correctness never depends on residency). Real DVFS ladders have a
-/// handful of points, so the default bound never evicts in practice; it
-/// exists so adversarial frequency streams (battery caps flapping across
-/// fine-grained ladders, fuzzers) cannot grow the memo without limit.
-/// The memo belongs to the caller (one per benchmark run), never to the
-/// plan: plans are shared across threads and runs.
+/// [`SocState::freq_factor`] always snaps to a point of the device's DVFS
+/// ladder (six on the deepest catalog ladder), so a memo holds at most one
+/// entry per ladder point and never needs evicting. A memo belongs to the
+/// caller (one per benchmark run or stream), never to the plan: plans are
+/// shared across threads and runs.
 #[derive(Debug, Clone)]
-pub struct ExecMemo {
-    /// `(freq bits, recorded walk, last-use stamp)`, sorted by bits.
-    entries: Vec<(u64, SteadyState, u64)>,
+pub struct FreqMemo<V> {
+    /// `(freq bits, recorded value)`, sorted by bits.
+    entries: Vec<(u64, V)>,
     hits: u64,
-    evictions: u64,
-    clock: u64,
-    capacity: usize,
 }
 
-impl Default for ExecMemo {
+/// Steady-state fast-forward memo for [`QueryPlan::execute_memo`].
+pub type ExecMemo = FreqMemo<SteadyState>;
+
+/// Per-operating-point sample cost memo for
+/// [`StreamPlan::sample_secs_memo`].
+pub type RateMemo = FreqMemo<f64>;
+
+impl<V> Default for FreqMemo<V> {
     fn default() -> Self {
-        Self::new()
+        FreqMemo { entries: Vec::new(), hits: 0 }
     }
 }
 
-impl ExecMemo {
-    /// Default bound on retained operating points — comfortably above any
-    /// catalog DVFS ladder (the deepest ships six points).
-    pub const DEFAULT_CAPACITY: usize = 32;
-
-    /// An empty memo with the default operating-point bound; the first
-    /// query at each operating point pays the full roofline walk.
+impl<V: Clone> FreqMemo<V> {
+    /// An empty memo; the first lookup at each operating point pays the
+    /// full computation.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
+        Self::default()
     }
 
-    /// An empty memo retaining at most `capacity` operating points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "memo needs room for at least one operating point");
-        ExecMemo { entries: Vec::new(), hits: 0, evictions: 0, clock: 0, capacity }
-    }
-
-    /// Queries replayed from the memo so far (excludes the recording
-    /// walks).
+    /// Lookups answered from the memo so far (excludes the recording
+    /// computations).
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Distinct DVFS operating points currently resident (≤ capacity).
+    /// Distinct operating points recorded.
     #[must_use]
     pub fn operating_points(&self) -> usize {
         self.entries.len()
     }
 
-    /// Recorded walks discarded to stay within the operating-point bound.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    fn lookup_or_record(&mut self, plan: &QueryPlan, freq: f64) -> SteadyState {
+    /// The value recorded at `freq`'s exact bits, or `compute(freq)`,
+    /// recorded first.
+    pub(crate) fn get_or_record(&mut self, freq: f64, compute: impl FnOnce(f64) -> V) -> V {
         let bits = freq.to_bits();
-        self.clock += 1;
         match self.entries.binary_search_by_key(&bits, |e| e.0) {
             Ok(i) => {
                 self.hits += 1;
-                self.entries[i].2 = self.clock;
                 self.entries[i].1.clone()
             }
-            Err(mut i) => {
-                let fresh = SteadyState::from_plan(plan, freq);
-                if self.entries.len() >= self.capacity {
-                    let lru = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.2)
-                        .map(|(j, _)| j)
-                        .expect("a full memo has a least-recently-used entry");
-                    self.entries.remove(lru);
-                    self.evictions += 1;
-                    // Removing below the insertion point shifts it left.
-                    if lru < i {
-                        i -= 1;
-                    }
-                }
-                self.entries.insert(i, (bits, fresh.clone(), self.clock));
-                fresh
+            Err(i) => {
+                let value = compute(freq);
+                self.entries.insert(i, (bits, value.clone()));
+                value
             }
         }
     }
@@ -524,53 +489,7 @@ impl StreamPlan {
     /// per pair (as [`OfflinePlan::execute`] does per stream).
     #[must_use]
     pub fn sample_secs_memo(&self, freq: f64, batch: usize, memo: &mut RateMemo) -> f64 {
-        let bits = freq.to_bits();
-        match memo.entries.binary_search_by_key(&bits, |e| e.0) {
-            Ok(i) => {
-                memo.hits += 1;
-                memo.entries[i].1
-            }
-            Err(i) => {
-                let secs = self.sample_secs(freq, batch);
-                memo.entries.insert(i, (bits, secs));
-                secs
-            }
-        }
-    }
-}
-
-/// Per-operating-point memo for [`StreamPlan::sample_secs_memo`], keyed
-/// by the exact bits of the DVFS frequency factor and sorted for binary
-/// search.
-///
-/// Historically each caller of the offline estimator re-derived the
-/// per-sample cost for identical frequency bits; sharing one memo across
-/// the callers that evaluate the same stream — batch lanes, successive
-/// offline chunks — collapses those to one walk per operating point.
-#[derive(Debug, Clone, Default)]
-pub struct RateMemo {
-    /// `(freq bits, sample_secs)`, sorted by bits.
-    entries: Vec<(u64, f64)>,
-    hits: u64,
-}
-
-impl RateMemo {
-    /// An empty memo.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lookups answered from the memo (excludes the recording walks).
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Distinct operating points recorded.
-    #[must_use]
-    pub fn operating_points(&self) -> usize {
-        self.entries.len()
+        memo.get_or_record(freq, |freq| self.sample_secs(freq, batch))
     }
 }
 
@@ -1045,30 +964,9 @@ mod tests {
     }
 
     #[test]
-    fn exec_memo_evicts_least_recently_used() {
-        let plan = memo_plan();
-        let mut memo = ExecMemo::with_capacity(2);
-        let _ = memo.lookup_or_record(&plan, 1.0); // {1.0}
-        let _ = memo.lookup_or_record(&plan, 0.9); // {1.0, 0.9}
-        let _ = memo.lookup_or_record(&plan, 1.0); // touch 1.0 -> 0.9 is LRU
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.evictions(), 0);
-        let _ = memo.lookup_or_record(&plan, 0.8); // evicts 0.9
-        assert_eq!(memo.evictions(), 1);
-        assert_eq!(memo.operating_points(), 2);
-        // 1.0 and 0.8 are resident; 0.9 must re-record (and evict again).
-        let _ = memo.lookup_or_record(&plan, 1.0);
-        let _ = memo.lookup_or_record(&plan, 0.8);
-        assert_eq!(memo.hits(), 3);
-        let _ = memo.lookup_or_record(&plan, 0.9);
-        assert_eq!(memo.hits(), 3);
-        assert_eq!(memo.evictions(), 2);
-    }
-
-    #[test]
     fn exec_memo_recorded_walks_match_fresh_lowering() {
         let plan = memo_plan();
-        let mut memo = ExecMemo::with_capacity(2);
+        let mut memo = ExecMemo::new();
         for freq in [1.0, 0.9, 0.8, 0.9, 1.0] {
             let mut via_memo = crate::soc::SocState {
                 thermal: crate::thermal::ThermalState::new(crate::thermal::ThermalSpec::default(), 22.0),

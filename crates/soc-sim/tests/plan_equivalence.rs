@@ -556,6 +556,7 @@ proptest! {
             queries as u64,
             "every query is either a replay or a recording walk"
         );
+        prop_assert!(memo.operating_points() <= memo_state.dvfs.len());
     }
 }
 

@@ -5,7 +5,7 @@
 //! non-decreasing and never overtakes what the registry finally reports.
 
 use mlperf_mobile::harness::{RunRules, ScenarioMix};
-use mlperf_mobile::metrics::metrics;
+use mlperf_mobile::metrics::{metrics, MetricsSnapshot};
 use mlperf_mobile::obs::ObsServer;
 use mlperf_mobile::runner::{RunSpec, SuiteRunner};
 use mlperf_mobile::sut_impl::DatasetScale;
@@ -68,9 +68,10 @@ fn endpoint_serves_all_routes_with_curl_shaped_requests() {
 
     let (status, body) = get(addr, "/metrics");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    for (family, _, _) in MetricsSnapshot::default().families() {
+        assert!(body.contains(&format!("# TYPE {family} counter\n")), "missing TYPE for {family}");
+    }
     for family in [
-        "mlperf_runs_completed_total",
-        "mlperf_compile_cache_hits_total",
         "mlperf_pool_par_map_calls_total",
         "mlperf_pool_queue_depth",
         "mlperf_run_wall_ns",
@@ -121,7 +122,7 @@ fn live_scrapes_during_a_suite_are_consistent_with_the_final_snapshot() {
     let after_runs = metrics().snapshot().runs_completed;
 
     assert!(results.iter().all(Result::is_ok), "suite runs under live scraping");
-    assert_eq!(after_runs - before_runs, specs.len(), "every spec recorded a completed run");
+    assert_eq!(after_runs - before_runs, specs.len() as u64, "every spec recorded a completed run");
 
     // Streaming consistency: scraped counters never decrease, never run
     // ahead of the final registry snapshot, and the post-suite scrape has
@@ -132,12 +133,12 @@ fn live_scrapes_during_a_suite_are_consistent_with_the_final_snapshot() {
     assert!(scrapes.windows(2).all(|w| w[0] <= w[1]), "scrapes must be monotone: {scrapes:?}");
     let last = *scrapes.last().unwrap();
     assert!(
-        last >= before_runs as u64 + specs.len() as u64,
+        last >= before_runs + specs.len() as u64,
         "final scrape {last} must include all {} suite runs (baseline {before_runs})",
         specs.len()
     );
     assert!(
-        last <= after_runs as u64,
+        last <= after_runs,
         "scrape {last} cannot overtake the registry snapshot {after_runs}"
     );
 
