@@ -107,13 +107,14 @@ profile:
 
 ## Performance: the repo benchmark (every perfbench workload end to
 ## end; BENCHMARK.json names the metrics and bounds), then criterion
-## microbenches of the four layers its traced runs show are hot: the
-## query hot loop and accuracy mode (`submission`), batched lanes
-## (`fleet`) and the tuner search (`tune`).
+## microbenches of the five layers its traced runs show are hot: the
+## query hot loop and accuracy mode (`submission`), the LoadGen searches
+## (`scenarios`), batched lanes (`fleet`) and the tuner search (`tune`).
 bench:
 	$(CARGO) run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --workload all
 	$(CARGO) bench -p mlperf-bench --bench query_hot_loop
 	$(CARGO) bench -p mlperf-bench --bench harness_accuracy
+	$(CARGO) bench -p mlperf-bench --bench loadgen_search
 	$(CARGO) bench -p mlperf-bench --bench batch_lanes
 	$(CARGO) bench -p mlperf-bench --bench tune_search
 

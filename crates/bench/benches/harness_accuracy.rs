@@ -6,7 +6,9 @@
 //! validation set plus every quality-model prediction), and `score` runs
 //! [`score_accuracy`] over those predictions. Together they are what
 //! `harness.accuracy` spends when the accuracy-score cache misses, the
-//! largest layer of a traced `submission` run.
+//! largest layer of a traced `submission` run. A segmentation miss does
+//! the same work as one fold (`ValidationSet::segmentation_counts`)
+//! without holding the maps between the two halves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loadgen::log::RunLog;

@@ -7,9 +7,10 @@
 //! extension: a cost model for the stages *outside* the model graph
 //! (image decode/resize/normalize, tokenization, output formatting),
 //! always executed by the CPU, plus a SUT wrapper that folds them into
-//! every query. The wrapper adds host time only: the device's telemetry
-//! and idle cooling pass straight through to the wrapped [`DeviceSut`],
-//! and offline bursts stay at the trait's default of sequential queries.
+//! every query. The wrapper adds host time only: the device's telemetry,
+//! its DVFS reading and idle cooling pass straight through to the wrapped
+//! [`DeviceSut`], and offline bursts stay at the trait's default of
+//! sequential queries.
 
 use crate::sut_impl::DeviceSut;
 use crate::task::Task;
@@ -136,6 +137,10 @@ impl SystemUnderTest for EndToEndSut {
         self.inner.last_telemetry()
     }
 
+    fn last_dvfs(&self) -> Option<(f64, f64)> {
+        self.inner.last_dvfs()
+    }
+
     fn idle(&mut self, dt: SimDuration) {
         self.inner.idle(dt);
     }
@@ -178,6 +183,13 @@ mod tests {
         for s in 0..200 {
             let _ = sut.issue_query(s);
         }
+        // The throttle log's DVFS reading comes straight from the device:
+        // a wrapper that left it to the trait default would rebuild a
+        // whole telemetry record per query to derive it.
+        let dvfs = sut.last_dvfs();
+        assert!(dvfs.is_some(), "the run loops read the DVFS pair through the wrapper");
+        assert_eq!(dvfs, sut.inner().last_dvfs());
+        assert_eq!(sut.inner().telemetry_rebuilds(), 0, "the wrapper must forward last_dvfs");
         let telemetry = sut.last_telemetry();
         assert!(telemetry.is_some(), "the run loops read device telemetry through the wrapper");
         assert_eq!(telemetry, sut.inner().last_telemetry());

@@ -16,7 +16,8 @@ use loadgen::run::{
 use loadgen::scenario::TestSettings;
 use loadgen::trace::RunTrace;
 use mobile_backend::backend::{Backend, BackendId, CompileError};
-
+use mobile_data::datasets::ADE20K_CLASSES;
+use mobile_metrics::miou::{benchmark_eval_classes, IouCounts};
 use serde::{Deserialize, Serialize};
 use soc_sim::battery::{BatterySpec, BatteryState};
 use soc_sim::catalog::ChipId;
@@ -107,7 +108,7 @@ pub const SERVER_LATENCY_BOUND_X: u64 = 3;
 
 /// How far past the device's zero-queueing capacity the QPS search
 /// brackets: the knee always lies below `capacity x this factor`.
-const SERVER_SEARCH_HEADROOM: f64 = 2.0;
+pub const SERVER_SEARCH_HEADROOM: f64 = 2.0;
 
 /// Scored outcome of the server scenario's offered-load search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -437,15 +438,15 @@ pub fn score_accuracy(data: &TaskData, predictions: &[(usize, Prediction)]) -> f
             mobile_metrics::map::coco_map(&gts, &preds)
         }
         TaskData::Segmentation(d, _) => {
-            let gts: Vec<_> = predictions.iter().map(|(i, _)| d.label_map(*i)).collect();
-            let preds: Vec<&_> = predictions
-                .iter()
-                .map(|(_, p)| match p {
-                    Prediction::Map(m) => m,
+            // The same per-sample fold as `ValidationSet::segmentation_counts`.
+            let mut counts = IouCounts::new(ADE20K_CLASSES as usize);
+            for (i, p) in predictions {
+                match p {
+                    Prediction::Map(m) => counts.record_maps(&d.label_map(*i), m),
                     other => panic!("expected label map, got {other:?}"),
-                })
-                .collect();
-            mobile_metrics::miou::benchmark_miou(&gts, &preds)
+                }
+            }
+            counts.mean_iou(&benchmark_eval_classes())
         }
         TaskData::Qa(d) => {
             let gts: Vec<_> = predictions.iter().map(|(i, _)| d.sample(*i).answer).collect();
@@ -541,10 +542,13 @@ static ACCURACY_SCORES: OnceLock<Mutex<HashMap<String, f64>>> = OnceLock::new();
 ///
 /// This is the only reader of the [`ValidationSet`]. A miss runs
 /// [`run_accuracy`] with the set's predictions spread over one thread per
-/// core, then [`score_accuracy`]; a hit replays only the device half
-/// ([`run_accuracy_advance`]). Both advance the device and write the log
-/// identically, and a hit returns the score the miss computed. Hits and
-/// misses feed the sweep-cache counters in the [`metrics`] registry.
+/// core, then [`score_accuracy`]; a segmentation miss runs the device half
+/// ([`run_accuracy_advance`]) and folds the predicted maps into
+/// per-class counts ([`ValidationSet::segmentation_counts`]) instead of
+/// collecting them. A hit replays only the device half. All of them
+/// advance the device and write the log identically, and a hit returns
+/// the score the miss computed. Hits and misses feed the sweep-cache
+/// counters in the [`metrics`] registry.
 fn cached_accuracy_score(
     sut: &mut DeviceSut,
     validation: &ValidationSet,
@@ -575,10 +579,20 @@ fn cached_accuracy_score(
     }
     metrics().sweep_misses.inc();
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let acc = run_accuracy(sut, dataset_len, &rules.settings, log, threads, |s| {
-        validation.predict(s)
-    });
-    let score = score_accuracy(&validation.data, &acc.predictions);
+    // Segmentation folds each sample's map into per-class counts and
+    // drops it, rather than holding the whole set's maps for scoring.
+    let score = match validation.segmentation_counts(threads) {
+        Some(counts) => {
+            let _ = run_accuracy_advance(sut, dataset_len, &rules.settings, log);
+            counts.mean_iou(&benchmark_eval_classes())
+        }
+        None => {
+            let acc = run_accuracy(sut, dataset_len, &rules.settings, log, threads, |s| {
+                validation.predict(s)
+            });
+            score_accuracy(&validation.data, &acc.predictions)
+        }
+    };
     cache.lock().unwrap().insert(key, score);
     score
 }
@@ -703,7 +717,7 @@ pub fn run_benchmark_planned(
             target,
             capacity * SERVER_SEARCH_HEADROOM,
         );
-        log.append(&search.log);
+        log.append(search.log);
         if traced {
             // Re-run the winning probe traced: same seed, same fresh
             // device, so the result must reproduce exactly.
@@ -739,7 +753,7 @@ pub fn run_benchmark_planned(
             format!("multi-stream {cell_label}")
         });
         let search = find_max_streams(new_device, dataset_len, &rules.settings);
-        log.append(&search.log);
+        log.append(search.log);
         if traced {
             let mut t = RunTrace::new();
             let mut probe = new_device();

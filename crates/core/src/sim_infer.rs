@@ -13,6 +13,7 @@ use mobile_data::datasets::{
 use mobile_data::extended::{SyntheticDiv2k, SyntheticLibriSpeech, SPEECH_VOCAB};
 use mobile_data::image::Image;
 use mobile_data::types::{AnswerSpan, BBox, Detection, LabelMap};
+use mobile_metrics::miou::IouCounts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,11 +103,34 @@ pub fn detect(dataset: &SyntheticCoco, sample: usize, target_map: f64, seed: u64
 /// mIoU.
 #[must_use]
 pub fn segment(dataset: &SyntheticAde20k, sample: usize, pixel_accuracy: f64, seed: u64) -> LabelMap {
+    let mut pred = dataset.label_map(sample);
+    degrade_labels(&mut pred.labels, sample, pixel_accuracy, seed);
+    pred
+}
+
+/// Folds [`segment`]'s prediction for `sample` into `counts` against the
+/// sample's ground truth, which it generates once, and keeps no map:
+/// the same tally as `counts.record_maps(&dataset.label_map(sample),
+/// &segment(dataset, sample, pixel_accuracy, seed))`.
+pub fn segment_counts(
+    dataset: &SyntheticAde20k,
+    sample: usize,
+    pixel_accuracy: f64,
+    seed: u64,
+    counts: &mut IouCounts,
+) {
     let gt = dataset.label_map(sample);
-    let mut rng = rng_for(seed, sample);
     let mut pred = gt.clone();
+    degrade_labels(&mut pred.labels, sample, pixel_accuracy, seed);
+    counts.record_maps(&gt, &pred);
+}
+
+/// [`segment`]'s per-pixel draw, in place: turns the ground-truth
+/// `labels` of `sample` into its prediction.
+fn degrade_labels(labels: &mut [u8], sample: usize, pixel_accuracy: f64, seed: u64) {
+    let mut rng = rng_for(seed, sample);
     let base = (sample as u64) << 20;
-    for (pi, l) in pred.labels.iter_mut().enumerate() {
+    for (pi, l) in labels.iter_mut().enumerate() {
         if stratified01(seed, base + pi as u64) >= pixel_accuracy.clamp(0.0, 1.0) {
             let mut wrong = rng.gen_range(0..ADE20K_CLASSES);
             if wrong == *l {
@@ -115,7 +139,6 @@ pub fn segment(dataset: &SyntheticAde20k, sample: usize, pixel_accuracy: f64, se
             *l = wrong;
         }
     }
-    pred
 }
 
 /// Process-wide memo for [`pixel_accuracy_for_miou`], keyed by the full

@@ -11,18 +11,20 @@ use crate::sim_infer;
 use crate::task::{BenchmarkDef, Task};
 use mobile_backend::backend::Deployment;
 use mobile_data::datasets::{
-    Dataset, SyntheticAde20k, SyntheticCoco, SyntheticImageNet, SyntheticSquad,
+    Dataset, SyntheticAde20k, SyntheticCoco, SyntheticImageNet, SyntheticSquad, ADE20K_CLASSES,
 };
 use mobile_data::extended::{SyntheticDiv2k, SyntheticLibriSpeech};
 use mobile_data::image::Image;
 use mobile_data::types::{AnswerSpan, Detection, LabelMap};
 use loadgen::sut::SystemUnderTest;
 use loadgen::trace::{QueryTelemetry, StageTelemetry};
+use mobile_metrics::miou::IouCounts;
 use quant::{quality::nominal_retention, Scheme, Sensitivity};
 use soc_sim::executor::QueryResult;
-use soc_sim::plan::{ExecMemo, OfflinePlan, QueryPlan};
+use soc_sim::plan::{ExecMemo, OfflinePlan, QueryPlan, QueryStep};
 use soc_sim::soc::{Soc, SocState};
 use soc_sim::time::SimDuration;
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Offline batch size used when amortizing per-query overheads.
@@ -170,15 +172,20 @@ pub struct DeviceSut {
     plan: Arc<QueryPlan>,
     /// Compiled offline plan, when the deployment has offline streams.
     offline_plan: Option<Arc<OfflinePlan>>,
-    /// Full simulator result of the most recent single-stream query,
-    /// kept so trace sinks can pull telemetry without re-running or
-    /// perturbing the simulation.
-    last_query: Option<QueryResult>,
+    /// Scalars of the most recent single-stream query: the DVFS reading
+    /// the run loops take after every query. A trace sink's
+    /// [`SystemUnderTest::last_telemetry`] rebuilds the full record from
+    /// this step, the plan and the memo, without re-running or perturbing
+    /// the simulation.
+    last_step: Option<QueryStep>,
+    /// Telemetry records rebuilt so far (see [`Self::telemetry_rebuilds`]).
+    telemetry_rebuilds: Cell<u64>,
     /// Steady-state fast-forward memo: once a query has executed at a
     /// given DVFS operating point, later queries at the same frequency
     /// bits replay the recorded roofline results in O(1) — bit-identical
-    /// by construction (see [`QueryPlan::execute_memo`]). Per-run state,
-    /// deliberately *not* part of any score or trace.
+    /// by construction (see [`QueryPlan::step_memo`]). Per-run state,
+    /// never part of a score; traced telemetry reads the last step's
+    /// recorded stage times back from it.
     memo: ExecMemo,
 }
 
@@ -217,7 +224,8 @@ impl DeviceSut {
             state,
             plan,
             offline_plan,
-            last_query: None,
+            last_step: None,
+            telemetry_rebuilds: Cell::new(0),
             memo: ExecMemo::new(),
         }
     }
@@ -235,14 +243,22 @@ impl DeviceSut {
     pub fn fast_forward_operating_points(&self) -> usize {
         self.memo.operating_points()
     }
+
+    /// Telemetry records this device has rebuilt for
+    /// [`SystemUnderTest::last_telemetry`]: one per query of a traced run
+    /// loop, none in an untraced one. Observability only — never part of
+    /// a score.
+    #[must_use]
+    pub fn telemetry_rebuilds(&self) -> u64 {
+        self.telemetry_rebuilds.get()
+    }
 }
 
 impl SystemUnderTest for DeviceSut {
     fn issue_query(&mut self, _sample_index: usize) -> SimDuration {
-        let result = self.plan.execute_memo(&mut self.state, &mut self.memo);
-        let latency = result.latency;
-        self.last_query = Some(result);
-        latency
+        let step = self.plan.step_memo(&mut self.state, &mut self.memo);
+        self.last_step = Some(step);
+        step.latency
     }
 
     fn issue_batch(&mut self, sample_indices: &[usize]) -> SimDuration {
@@ -264,7 +280,13 @@ impl SystemUnderTest for DeviceSut {
     }
 
     fn last_telemetry(&self) -> Option<QueryTelemetry> {
-        self.last_query.as_ref().map(|r| query_telemetry(&self.soc, r))
+        let step = self.last_step?;
+        self.telemetry_rebuilds.set(self.telemetry_rebuilds.get() + 1);
+        Some(query_telemetry(&self.soc, &self.plan.step_result(step, &self.memo)))
+    }
+
+    fn last_dvfs(&self) -> Option<(f64, f64)> {
+        self.last_step.map(|s| (s.freq_factor, s.temperature_c))
     }
 
     fn idle(&mut self, dt: SimDuration) {
@@ -354,6 +376,33 @@ impl ValidationSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// The whole set's segmentation tally: every sample's [`Self::predict`]
+    /// map is counted against its ground truth and dropped, on up to
+    /// `threads` workers with one [`IouCounts`] each. `None` for other
+    /// tasks. The counts are integers, so the split changes nothing: the
+    /// tally's mIoU is bit-equal to
+    /// [`score_accuracy`](crate::harness::score_accuracy) over the
+    /// collected maps, without holding them.
+    #[must_use]
+    pub fn segmentation_counts(&self, threads: usize) -> Option<IouCounts> {
+        let TaskData::Segmentation(d, pixel_acc) = &self.data else { return None };
+        let len = d.len();
+        let chunk = len.div_ceil(threads.clamp(1, len));
+        let starts: Vec<usize> = (0..len).step_by(chunk).collect();
+        let tallies = loadgen::par::par_map_chunked(&starts, starts.len(), |&start| {
+            let mut counts = IouCounts::new(ADE20K_CLASSES as usize);
+            for s in start..(start + chunk).min(len) {
+                sim_infer::segment_counts(d, s, *pixel_acc, self.seed, &mut counts);
+            }
+            counts
+        });
+        let mut total = IouCounts::new(ADE20K_CLASSES as usize);
+        for t in &tallies {
+            total.merge(t);
+        }
+        Some(total)
     }
 
     /// The quality-model prediction for one sample, scored later by the
@@ -450,6 +499,39 @@ mod tests {
     }
 
     #[test]
+    fn segmentation_fold_matches_the_confusion_matrix() {
+        use crate::harness::score_accuracy;
+        use mobile_metrics::miou::{benchmark_eval_classes, benchmark_miou, ConfusionMatrix};
+        let (_, validation) = sut_for(2);
+        let TaskData::Segmentation(d, _) = &validation.data else { panic!("segmentation set") };
+        let predictions: Vec<(usize, Prediction)> =
+            (0..validation.len()).map(|i| (i, validation.predict(i))).collect();
+        let gts: Vec<LabelMap> = (0..validation.len()).map(|i| d.label_map(i)).collect();
+        let maps: Vec<&LabelMap> = predictions
+            .iter()
+            .map(|(_, p)| match p {
+                Prediction::Map(m) => m,
+                other => panic!("expected a map, got {other:?}"),
+            })
+            .collect();
+        let mut cm = ConfusionMatrix::new(ADE20K_CLASSES as usize);
+        for (g, p) in gts.iter().zip(&maps) {
+            cm.record_maps(g, p);
+        }
+        let want = benchmark_miou(&gts, &maps).to_bits();
+        assert_eq!(score_accuracy(&validation.data, &predictions).to_bits(), want);
+        for threads in [1, 3, 8, 1000] {
+            let counts = validation.segmentation_counts(threads).unwrap();
+            for c in 0..ADE20K_CLASSES {
+                let (got, want) = (counts.class_counts(c), cm.class_counts(c));
+                assert_eq!(got, want, "class {c}, {threads} threads");
+            }
+            assert_eq!(counts.mean_iou(&benchmark_eval_classes()).to_bits(), want);
+        }
+        assert!(sut_for(0).1.segmentation_counts(4).is_none());
+    }
+
+    #[test]
     fn thermal_state_persists_across_queries() {
         let (mut sut, _) = sut_for(2); // segmentation: heavy
         let t0 = sut.state.thermal.temperature_c();
@@ -457,6 +539,46 @@ mod tests {
             let _ = sut.issue_query(0);
         }
         assert!(sut.state.thermal.temperature_c() > t0);
+    }
+
+    #[test]
+    fn telemetry_rebuilds_the_full_query_result() {
+        // A shadow state driven through execute_memo yields the full
+        // result the device once kept per query: the rebuilt telemetry,
+        // stage breakdown included, must match it bit for bit, through
+        // the heating that moves the DVFS operating point.
+        let (mut sut, _) = sut_for(2);
+        // Start hot, so the run descends the DVFS ladder as it goes.
+        sut.state.thermal.advance(4.0, SimDuration::from_secs(600));
+        let mut shadow = sut.state.clone();
+        let mut shadow_memo = ExecMemo::new();
+        for s in 0..400 {
+            let latency = sut.issue_query(s);
+            let want = sut.plan.execute_memo(&mut shadow, &mut shadow_memo);
+            assert_eq!(latency, want.latency);
+            assert_eq!(sut.last_telemetry(), Some(query_telemetry(&sut.soc, &want)), "query {s}");
+            assert_eq!(sut.last_dvfs(), Some((want.freq_factor, want.temperature_c)));
+        }
+        assert_eq!(sut.state, shadow);
+        assert!(sut.fast_forward_operating_points() > 1, "the run must cross DVFS points");
+    }
+
+    #[test]
+    fn untraced_loops_rebuild_no_telemetry() {
+        use loadgen::log::RunLog;
+        use loadgen::run::{run_multi_stream, run_server, run_single_stream};
+        use loadgen::scenario::TestSettings;
+        use loadgen::trace::RunTrace;
+        let settings = TestSettings::smoke_test();
+        let (mut sut, _) = sut_for(0);
+        let _ = run_single_stream(&mut sut, 64, &settings, &mut RunLog::new(), None);
+        let _ = run_server(&mut sut, 64, 200.0, &settings, &mut RunLog::new(), None);
+        let _ = run_multi_stream(&mut sut, 64, 3, &settings, &mut RunLog::new(), None);
+        assert_eq!(sut.telemetry_rebuilds(), 0, "untraced loops read only the DVFS pair");
+        // A traced loop rebuilds one record per span.
+        let mut trace = RunTrace::new();
+        let _ = run_single_stream(&mut sut, 64, &settings, &mut RunLog::new(), Some(&mut trace));
+        assert_eq!(sut.telemetry_rebuilds(), trace.span_count());
     }
 
     #[test]

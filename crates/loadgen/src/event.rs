@@ -1,110 +1,19 @@
-//! A deterministic discrete-event executor over simulated time.
+//! The server scenario's arrival process.
 //!
-//! The server and multi-stream scenarios (parent MLPerf Inference spec,
-//! arXiv 1911.02549) need overlapping in-flight queries, which the
-//! one-query-at-a-time single-stream loop cannot express. This module
-//! provides the two primitives they are built on:
+//! [`PoissonIssuer`] draws seeded exponential inter-arrival gaps from the
+//! vendored RNG, so the server scenario's arrivals are reproducible from
+//! `(seed, qps)` alone (parent MLPerf Inference spec, arXiv 1911.02549).
+//! The run loops walk the sorted arrivals with a cursor
+//! ([`crate::run::run_server`]) and need no event queue.
 //!
-//! * [`EventQueue`] — a pending-event queue keyed by simulated
-//!   nanoseconds with **stable tie-breaking**: events at the same instant
-//!   pop in the order they were scheduled (time, then sequence id). Every
-//!   pop order is therefore a pure function of the schedule calls, never
-//!   of heap internals — the property the bit-determinism suite leans on.
-//! * [`PoissonIssuer`] — seeded exponential inter-arrival sampling from
-//!   the vendored RNG, so the server scenario's arrival process is
-//!   reproducible from `(seed, qps)` alone.
+//! The module's tests keep the binary-heap discrete-event executor the
+//! server and multi-stream loops once ran on, with verbatim copies of
+//! those heap-driven loops, as the oracle the exact walks must match event
+//! for event.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use soc_sim::time::{SimDuration, SimInstant};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// One scheduled entry: fires at `at`, ties broken by `seq`.
-struct Pending<T> {
-    at: SimInstant,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Pending<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for Pending<T> {}
-
-impl<T> PartialOrd for Pending<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Pending<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (time, seq) first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// A deterministic pending-event queue on the simulated clock.
-///
-/// Events pop in nondecreasing time order; events scheduled for the same
-/// instant pop in scheduling order (the monotone sequence id breaks the
-/// tie). The payload type carries whatever the scenario loop needs and
-/// never participates in the ordering.
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Pending<T>>,
-    next_seq: u64,
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-
-    /// Schedules `payload` to fire at `at`, returning the sequence id that
-    /// orders it among same-instant events.
-    pub fn schedule(&mut self, at: SimInstant, payload: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Pending { at, seq, payload });
-        seq
-    }
-
-    /// Removes and returns the earliest event as `(time, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(SimInstant, u64, T)> {
-        self.heap.pop().map(|p| (p.at, p.seq, p.payload))
-    }
-
-    /// The fire time of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimInstant> {
-        self.heap.peek().map(|p| p.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
 
 /// Seeded Poisson arrival-process sampler for the server scenario.
 ///
@@ -160,79 +69,4 @@ impl PoissonIssuer {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimInstant::EPOCH + SimDuration::from_nanos(30), "c");
-        q.schedule(SimInstant::EPOCH + SimDuration::from_nanos(10), "a");
-        q.schedule(SimInstant::EPOCH + SimDuration::from_nanos(20), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_break_by_schedule_order() {
-        let mut q = EventQueue::new();
-        let t = SimInstant::EPOCH + SimDuration::from_nanos(5);
-        for i in 0..100u32 {
-            q.schedule(t, i);
-        }
-        let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
-        assert_eq!(popped, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(SimInstant::EPOCH + SimDuration::from_nanos(7), ());
-        assert_eq!(q.len(), 1);
-        let peeked = q.peek_time().unwrap();
-        let (t, seq, ()) = q.pop().unwrap();
-        assert_eq!(t, peeked);
-        assert_eq!(seq, 0);
-    }
-
-    #[test]
-    fn poisson_is_seeded() {
-        let mut a = PoissonIssuer::new(9, 100.0);
-        let mut b = PoissonIssuer::new(9, 100.0);
-        let mut c = PoissonIssuer::new(10, 100.0);
-        let ga: Vec<SimDuration> = (0..64).map(|_| a.next_interarrival()).collect();
-        let gb: Vec<SimDuration> = (0..64).map(|_| b.next_interarrival()).collect();
-        let gc: Vec<SimDuration> = (0..64).map(|_| c.next_interarrival()).collect();
-        assert_eq!(ga, gb);
-        assert_ne!(ga, gc);
-    }
-
-    #[test]
-    fn poisson_mean_tracks_rate() {
-        let mut p = PoissonIssuer::new(1, 1000.0);
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| p.next_interarrival().as_nanos()).sum();
-        let mean_us = total as f64 / n as f64 / 1e3;
-        // Rate 1000 qps -> mean gap 1 ms = 1000 us, within a few percent.
-        assert!((mean_us - 1000.0).abs() < 50.0, "mean gap {mean_us} us");
-    }
-
-    #[test]
-    fn arrivals_meet_count_and_span() {
-        let mut p = PoissonIssuer::new(3, 1000.0);
-        let a = p.arrivals(100, SimDuration::from_millis(500));
-        assert!(a.len() >= 100);
-        // 100 arrivals at ~1ms gaps covers ~100ms << 500ms: span binds.
-        let last = *a.last().unwrap();
-        assert!(last.duration_since(SimInstant::EPOCH) >= SimDuration::from_millis(500));
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "arrivals nondecreasing");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_qps_rejected() {
-        let _ = PoissonIssuer::new(1, 0.0);
-    }
-}
+mod tests;

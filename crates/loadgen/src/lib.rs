@@ -7,9 +7,11 @@
 //! multi-stream), seeded sample selection, performance and accuracy modes,
 //! run-rule enforcement (1024 samples / 60 s / 24 576-sample bursts /
 //! frame accounting), structured logging, and the submission checker that
-//! validates logs. The server and multi-stream scenarios run on a
-//! deterministic discrete-event executor ([`event`]) so overlapping
-//! in-flight queries stay bit-reproducible.
+//! validates logs. The server and multi-stream scenarios overlap
+//! in-flight queries on exact discrete-event walks ([`run`]): a cursor
+//! over the seeded Poisson arrivals ([`event`]) merged with the in-flight
+//! completions, and a plain loop over frames, so every run is
+//! bit-reproducible without an event queue.
 //!
 //! Submitter modification of the LoadGen is forbidden by the rules; here
 //! that invariant is structural — SUTs only see the [`sut::SystemUnderTest`]
@@ -49,7 +51,7 @@ pub mod sut;
 pub mod trace;
 
 pub use checker::{check_log, Violation};
-pub use event::{EventQueue, PoissonIssuer};
+pub use event::PoissonIssuer;
 pub use log::{LogRecord, RunLog};
 pub use run::{
     find_max_qps, find_max_streams, performance_sample_set, run_accuracy, run_accuracy_advance,

@@ -88,10 +88,11 @@ impl RunLog {
         self.records.push(record);
     }
 
-    /// Appends every record of `other`, in order — used to splice the
-    /// winning search probe's log segment into a combined submission log.
-    pub fn append(&mut self, other: &RunLog) {
-        self.records.extend(other.records.iter().cloned());
+    /// Moves every record of `other` to the end of this log, in order —
+    /// used to splice the winning search probe's log segment into a
+    /// combined submission log without copying it.
+    pub fn append(&mut self, mut other: RunLog) {
+        self.records.append(&mut other.records);
     }
 
     /// All records, in order.

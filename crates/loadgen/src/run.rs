@@ -3,8 +3,7 @@
 //! Single-stream: inject one query, wait for completion, record, repeat —
 //! until at least `min_query_count` samples AND `min_duration` of simulated
 //! time have elapsed. Offline: one burst of `offline_sample_count` samples.
-//! Server: Poisson arrivals dispatched through the deterministic
-//! discrete-event executor ([`crate::event`]) with up to
+//! Server: Poisson arrivals ([`crate::event::PoissonIssuer`]) with up to
 //! `server_concurrency` queries executing at once; latency includes
 //! queueing delay. Multi-stream: N-wide frames at a fixed interval; frame
 //! latency is the max over the N lanes. Accuracy mode feeds the entire
@@ -14,8 +13,21 @@
 //! Each scenario has exactly one loop over one [`SystemUnderTest`], and
 //! each loop takes an optional [`RunTrace`] sink: `None` runs untraced,
 //! `Some` records per-query spans without changing the result or the log.
+//!
+//! The server and multi-stream loops are exact discrete-event walks
+//! without an event queue. The server merges a cursor over its sorted
+//! arrivals with the at most `server_concurrency` in-flight completions;
+//! at one instant an arrival is handled before a completion, and
+//! completions go in dispatch order. Multi-stream frames dispatch in index
+//! order at distinct instants, so its walk is one loop over the frames.
+//! The `event` module's tests hold both loops to the binary-heap executor
+//! they replaced, event for event.
+//!
+//! A query costs the loops one [`SystemUnderTest::issue_query`] and one
+//! [`SystemUnderTest::last_dvfs`] reading for the throttle log; the full
+//! [`SystemUnderTest::last_telemetry`] record is pulled only for a trace.
 
-use crate::event::{EventQueue, PoissonIssuer};
+use crate::event::PoissonIssuer;
 use crate::log::{LogRecord, RunLog};
 use crate::scenario::{Scenario, TestMode, TestSettings};
 use crate::sut::SystemUnderTest;
@@ -25,7 +37,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use soc_sim::time::{SimDuration, SimInstant};
-use std::collections::VecDeque;
 
 /// Performance-mode result for one scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -117,6 +128,27 @@ pub fn performance_sample_set(seed: u64, dataset_len: usize, n: u64) -> Vec<usiz
     (0..n).map(|_| rng.gen_range(0..dataset_len)).collect()
 }
 
+/// Logs a throttle transition at `now` if the query just issued left the
+/// device's throttle state (`freq_factor < 1.0`) different from
+/// `was_throttled`. The reading is the SUT's cheap
+/// [`SystemUnderTest::last_dvfs`] pair, the same two numbers its
+/// telemetry carries, so traced and untraced runs log byte-identical
+/// event streams.
+fn note_throttle<S: SystemUnderTest>(
+    sut: &S,
+    now: SimInstant,
+    was_throttled: &mut bool,
+    log: &mut RunLog,
+) {
+    if let Some((freq_factor, temperature_c)) = sut.last_dvfs() {
+        let throttled = freq_factor < 1.0;
+        if throttled != *was_throttled {
+            *was_throttled = throttled;
+            log.throttle(now, freq_factor, temperature_c);
+        }
+    }
+}
+
 /// Runs the single-stream performance scenario.
 ///
 /// When `trace` is `Some`, every query's span (issue/complete
@@ -164,16 +196,7 @@ pub fn run_single_stream<S: SystemUnderTest>(
         for &s in &samples {
             let latency = sut.issue_query(s);
             log.query(now, s, latency);
-            // Telemetry is pulled once per query and drives both the trace
-            // span and the compliance log's throttle transitions, so traced
-            // and untraced runs log byte-identical event streams.
-            let telemetry = sut.last_telemetry();
-            if let Some(t) = &telemetry {
-                if t.is_throttled() != was_throttled {
-                    was_throttled = t.is_throttled();
-                    log.throttle(now, t.freq_factor, t.temperature_c);
-                }
-            }
+            note_throttle(sut, now, &mut was_throttled, log);
             if let Some(t) = trace.as_deref_mut() {
                 t.record_span(QuerySpan {
                     query_index: queries,
@@ -182,7 +205,7 @@ pub fn run_single_stream<S: SystemUnderTest>(
                     dispatch_ns: now.as_nanos(),
                     complete_ns: (now + latency).as_nanos(),
                     latency_ns: latency.as_nanos(),
-                    telemetry,
+                    telemetry: sut.last_telemetry(),
                 });
             }
             now += latency;
@@ -279,14 +302,13 @@ const QPS_SEARCH_ITERS: u32 = 10;
 /// Runs the server performance scenario at a fixed offered load.
 ///
 /// Queries arrive at Poisson-distributed instants (rate `qps`, seeded from
-/// the test seed) and are dispatched through the deterministic
-/// discrete-event executor: at most `server_concurrency` queries execute
-/// at once, later arrivals queue FIFO, and each query's reported latency
-/// is *arrival to completion* — queueing delay included. The device state
-/// advances in dispatch order (a deterministic total order by the event
-/// queue's time-then-sequence tie-break), and idle gaps between dispatches
-/// are reported to the SUT so thermal models cool down exactly as they
-/// heat up under load. Tracing never perturbs the result.
+/// the test seed). At most `server_concurrency` queries execute at once,
+/// later arrivals queue FIFO, and each query's reported latency is
+/// *arrival to completion* — queueing delay included. The device state
+/// advances in dispatch order, and idle gaps between dispatches are
+/// reported to the SUT so thermal models cool down exactly as they heat
+/// up under load. The walk over arrivals and completions is exact; see
+/// the module docs for its tie order. Tracing never perturbs the result.
 ///
 /// # Panics
 ///
@@ -309,75 +331,7 @@ pub fn run_server<S: SystemUnderTest>(
     let arrivals = issuer.arrivals(settings.min_query_count.max(1), settings.min_duration);
     let n = arrivals.len();
     let samples = performance_sample_set(settings.seed, dataset_len, n as u64);
-
-    /// Events of the server simulation.
-    enum Ev {
-        /// Query `i` arrives (enters the FIFO).
-        Arrive(usize),
-        /// Query `i` finishes executing (frees a device slot).
-        Complete(usize),
-    }
-    let mut events = EventQueue::new();
-    for (i, &at) in arrivals.iter().enumerate() {
-        events.schedule(at, Ev::Arrive(i));
-    }
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-    let mut executing = 0usize;
-    let mut idle_since = Some(SimInstant::EPOCH);
-    let mut latencies = Vec::with_capacity(n);
-    let mut was_throttled = false;
-    let mut end = SimInstant::EPOCH;
-    let mut dispatched = 0u64;
-    while let Some((now, _seq, ev)) = events.pop() {
-        match ev {
-            Ev::Arrive(i) => waiting.push_back(i),
-            Ev::Complete(i) => {
-                executing -= 1;
-                let latency = now.duration_since(arrivals[i]);
-                log.query(arrivals[i], samples[i], latency);
-                latencies.push(latency.as_nanos());
-                end = now;
-            }
-        }
-        // Fill free device slots from the FIFO.
-        while executing < concurrency {
-            let Some(i) = waiting.pop_front() else { break };
-            if executing == 0 {
-                if let Some(since) = idle_since.take() {
-                    let gap = now.duration_since(since);
-                    if gap > SimDuration::ZERO {
-                        sut.idle(gap);
-                    }
-                }
-            }
-            let service = sut.issue_query(samples[i]);
-            let telemetry = sut.last_telemetry();
-            if let Some(t) = &telemetry {
-                if t.is_throttled() != was_throttled {
-                    was_throttled = t.is_throttled();
-                    log.throttle(now, t.freq_factor, t.temperature_c);
-                }
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                let complete = now + service;
-                t.record_span(QuerySpan {
-                    query_index: dispatched,
-                    sample_index: samples[i],
-                    issue_ns: arrivals[i].as_nanos(),
-                    dispatch_ns: now.as_nanos(),
-                    complete_ns: complete.as_nanos(),
-                    latency_ns: complete.duration_since(arrivals[i]).as_nanos(),
-                    telemetry,
-                });
-            }
-            dispatched += 1;
-            events.schedule(now + service, Ev::Complete(i));
-            executing += 1;
-        }
-        if executing == 0 && waiting.is_empty() && idle_since.is_none() {
-            idle_since = Some(now);
-        }
-    }
+    let (latencies, end) = serve(sut, &arrivals, &samples, concurrency, log, trace);
     let duration = end.duration_since(SimInstant::EPOCH);
     log.push(LogRecord::TestEnd { queries: n as u64, duration_ns: duration.as_nanos() });
     PerformanceResult {
@@ -389,6 +343,91 @@ pub fn run_server<S: SystemUnderTest>(
         offered_qps: Some(qps),
         streams: None,
     }
+}
+
+/// The server walk over explicit, nondecreasing `arrivals` (query `i`
+/// carries `samples[i]`): dispatches, logs and traces every query, and
+/// returns the latencies (ns, in completion order) and the last completion
+/// instant.
+///
+/// Two cursors split the queries: `0..head` have dispatched and
+/// `head..arrived` wait in the FIFO. The next event is the earlier of the
+/// next arrival and the earliest in-flight completion; an arrival wins a
+/// tie, and equal completions go in dispatch order. After every event the
+/// free device slots fill from the FIFO.
+pub(crate) fn serve<S: SystemUnderTest>(
+    sut: &mut S,
+    arrivals: &[SimInstant],
+    samples: &[usize],
+    concurrency: usize,
+    log: &mut RunLog,
+    mut trace: Option<&mut RunTrace>,
+) -> (Vec<u64>, SimInstant) {
+    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrivals must be sorted");
+    let n = arrivals.len();
+    let (mut head, mut arrived) = (0usize, 0usize);
+    // `(completion instant, query)` of each executing query, in dispatch
+    // order.
+    let mut in_flight: Vec<(SimInstant, usize)> = Vec::with_capacity(concurrency);
+    let mut idle_since = Some(SimInstant::EPOCH);
+    let mut latencies = Vec::with_capacity(n);
+    let mut was_throttled = false;
+    let mut end = SimInstant::EPOCH;
+    loop {
+        // `min_by_key` keeps the first of equal minima: dispatch order.
+        let next_done = in_flight
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &(at, _))| at)
+            .map(|(slot, &(at, _))| (slot, at));
+        let now = match next_done {
+            Some((slot, at)) if arrived == n || at < arrivals[arrived] => {
+                let (_, i) = in_flight.remove(slot);
+                let latency = at.duration_since(arrivals[i]);
+                log.query(arrivals[i], samples[i], latency);
+                latencies.push(latency.as_nanos());
+                end = at;
+                at
+            }
+            _ if arrived < n => {
+                arrived += 1;
+                arrivals[arrived - 1]
+            }
+            _ => break,
+        };
+        // Fill free device slots from the FIFO.
+        while in_flight.len() < concurrency && head < arrived {
+            let i = head;
+            head += 1;
+            if in_flight.is_empty() {
+                if let Some(since) = idle_since.take() {
+                    let gap = now.duration_since(since);
+                    if gap > SimDuration::ZERO {
+                        sut.idle(gap);
+                    }
+                }
+            }
+            let service = sut.issue_query(samples[i]);
+            note_throttle(sut, now, &mut was_throttled, log);
+            let complete = now + service;
+            if let Some(t) = trace.as_deref_mut() {
+                t.record_span(QuerySpan {
+                    query_index: i as u64,
+                    sample_index: samples[i],
+                    issue_ns: arrivals[i].as_nanos(),
+                    dispatch_ns: now.as_nanos(),
+                    complete_ns: complete.as_nanos(),
+                    latency_ns: complete.duration_since(arrivals[i]).as_nanos(),
+                    telemetry: sut.last_telemetry(),
+                });
+            }
+            in_flight.push((complete, i));
+        }
+        if in_flight.is_empty() && head == arrived && idle_since.is_none() {
+            idle_since = Some(now);
+        }
+    }
+    (latencies, end)
 }
 
 /// Outcome of the server max-QPS binary search.
@@ -467,15 +506,15 @@ where
 /// Runs the multi-stream performance scenario at a fixed stream count.
 ///
 /// Frames of `streams` queries are issued every `multi_stream_interval`,
-/// on schedule regardless of overrun, through the discrete-event executor.
-/// All lanes of a frame dispatch at the frame instant (the accelerator
-/// processes the N streams concurrently); the frame's latency is the
-/// **maximum** over its lanes, and those frame latencies are the
-/// statistics the scenario is scored on. The run covers enough frames to
-/// satisfy both `min_frame_count` and `min_duration` of offered load.
-/// Device idle gaps between a frame's last completion and the next frame
-/// are reported to the SUT for thermal cooldown. Tracing never perturbs
-/// the result.
+/// on schedule regardless of overrun. All lanes of a frame dispatch at the
+/// frame instant (the accelerator processes the N streams concurrently);
+/// the frame's latency is the **maximum** over its lanes, and those frame
+/// latencies are the statistics the scenario is scored on. The run covers
+/// enough frames to satisfy both `min_frame_count` and `min_duration` of
+/// offered load. Device idle gaps between the latest completion so far
+/// and the next frame are reported to the SUT for thermal cooldown.
+/// Frames dispatch in index order at distinct instants, so the walk is
+/// one loop over the frames. Tracing never perturbs the result.
 ///
 /// # Panics
 ///
@@ -500,79 +539,49 @@ pub fn run_multi_stream<S: SystemUnderTest>(
     let frames = settings.min_frame_count.max(1).max(by_duration);
     let samples = performance_sample_set(settings.seed, dataset_len, frames * streams);
 
-    /// Events of the multi-stream simulation.
-    enum Ev {
-        /// Frame `k` is issued (all lanes dispatch).
-        Frame(u64),
-        /// A frame's slowest lane finished.
-        FrameDone,
-    }
-    let mut events = EventQueue::new();
-    for k in 0..frames {
-        let at = SimInstant::EPOCH + SimDuration::from_nanos(k * interval.as_nanos());
-        events.schedule(at, Ev::Frame(k));
-    }
+    // The latest lane completion so far: when the device next goes idle.
     let mut busy_until = SimInstant::EPOCH;
     let mut frame_latencies = Vec::with_capacity(frames as usize);
     let mut was_throttled = false;
-    let mut end = SimInstant::EPOCH;
     let mut query_index = 0u64;
-    while let Some((now, _seq, ev)) = events.pop() {
-        match ev {
-            Ev::Frame(k) => {
-                if now > busy_until {
-                    let gap = now.duration_since(busy_until);
-                    if gap > SimDuration::ZERO {
-                        sut.idle(gap);
-                    }
-                }
-                let mut frame_latency = SimDuration::ZERO;
-                for lane in 0..streams {
-                    let s = samples[(k * streams + lane) as usize];
-                    let latency = sut.issue_query(s);
-                    log.query(now, s, latency);
-                    let telemetry = sut.last_telemetry();
-                    if let Some(t) = &telemetry {
-                        if t.is_throttled() != was_throttled {
-                            was_throttled = t.is_throttled();
-                            log.throttle(now, t.freq_factor, t.temperature_c);
-                        }
-                    }
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record_span(QuerySpan {
-                            query_index,
-                            sample_index: s,
-                            issue_ns: now.as_nanos(),
-                            dispatch_ns: now.as_nanos(),
-                            complete_ns: (now + latency).as_nanos(),
-                            latency_ns: latency.as_nanos(),
-                            telemetry,
-                        });
-                    }
-                    query_index += 1;
-                    if latency > frame_latency {
-                        frame_latency = latency;
-                    }
-                }
-                log.frame(k, streams, frame_latency);
-                frame_latencies.push(frame_latency.as_nanos());
-                let done = now + frame_latency;
-                if done > busy_until {
-                    busy_until = done;
-                }
-                events.schedule(done, Ev::FrameDone);
+    for k in 0..frames {
+        let now = SimInstant::EPOCH + SimDuration::from_nanos(k * interval.as_nanos());
+        if now > busy_until {
+            sut.idle(now.duration_since(busy_until));
+        }
+        let mut frame_latency = SimDuration::ZERO;
+        for lane in 0..streams {
+            let s = samples[(k * streams + lane) as usize];
+            let latency = sut.issue_query(s);
+            log.query(now, s, latency);
+            note_throttle(sut, now, &mut was_throttled, log);
+            if let Some(t) = trace.as_deref_mut() {
+                t.record_span(QuerySpan {
+                    query_index,
+                    sample_index: s,
+                    issue_ns: now.as_nanos(),
+                    dispatch_ns: now.as_nanos(),
+                    complete_ns: (now + latency).as_nanos(),
+                    latency_ns: latency.as_nanos(),
+                    telemetry: sut.last_telemetry(),
+                });
             }
-            Ev::FrameDone => {
-                if now > end {
-                    end = now;
-                }
+            query_index += 1;
+            if latency > frame_latency {
+                frame_latency = latency;
             }
+        }
+        log.frame(k, streams, frame_latency);
+        frame_latencies.push(frame_latency.as_nanos());
+        let done = now + frame_latency;
+        if done > busy_until {
+            busy_until = done;
         }
     }
     // The run spans the full offered-load window even when the last frame
     // finishes early.
     let offered = SimDuration::from_nanos(frames * interval.as_nanos());
-    let mut duration = end.duration_since(SimInstant::EPOCH);
+    let mut duration = busy_until.duration_since(SimInstant::EPOCH);
     if offered > duration {
         duration = offered;
     }

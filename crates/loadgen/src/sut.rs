@@ -30,6 +30,19 @@ pub trait SystemUnderTest {
         None
     }
 
+    /// The `(freq_factor, temperature_c)` pair of the most recent
+    /// [`issue_query`] call: all the run loops' throttle log reads after
+    /// every query. The loops pull the full [`last_telemetry`] only when a
+    /// trace is attached, so a SUT that can report the pair without
+    /// building a telemetry record should override this. The default
+    /// derives it from [`last_telemetry`].
+    ///
+    /// [`issue_query`]: SystemUnderTest::issue_query
+    /// [`last_telemetry`]: SystemUnderTest::last_telemetry
+    fn last_dvfs(&self) -> Option<(f64, f64)> {
+        self.last_telemetry().map(|t| (t.freq_factor, t.temperature_c))
+    }
+
     /// Notifies the SUT that the device sat idle for `dt` of simulated
     /// time before the next dispatch — the server and multi-stream loops
     /// call this for gaps where no query is executing, letting thermal

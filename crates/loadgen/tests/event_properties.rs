@@ -1,59 +1,19 @@
-//! Property tests over the discrete-event executor: the determinism and
-//! ordering invariants the server and multi-stream scenarios are built on.
+//! Property tests over the server and multi-stream scenarios: the
+//! determinism and ordering invariants their discrete-event walks are
+//! built on. The walks' event order is held to the heap executor they
+//! replaced by the `event` module's own tests.
 
-use loadgen::event::{EventQueue, PoissonIssuer};
+use loadgen::event::PoissonIssuer;
 use loadgen::run::{run_multi_stream, run_server};
 use loadgen::scenario::TestSettings;
 use loadgen::sut::ConstantSut;
 use loadgen::trace::RunTrace;
 use loadgen::RunLog;
 use proptest::prelude::*;
-use soc_sim::time::{SimDuration, SimInstant};
+use soc_sim::time::SimDuration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Events pop in nondecreasing time regardless of schedule order.
-    #[test]
-    fn events_pop_in_nondecreasing_time(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimInstant::EPOCH + SimDuration::from_nanos(t), i);
-        }
-        let mut prev = SimInstant::EPOCH;
-        let mut popped = 0usize;
-        while let Some((t, _seq, _payload)) = q.pop() {
-            prop_assert!(t >= prev, "pop at {t:?} after {prev:?}");
-            prev = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
-    }
-
-    /// Events scheduled for the same instant pop in scheduling order: the
-    /// sequence id is the tie-break.
-    #[test]
-    fn ties_break_by_sequence_id(
-        times in proptest::collection::vec(0u64..16, 2..200),
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimInstant::EPOCH + SimDuration::from_nanos(t), i);
-        }
-        let mut last_at_time: Option<(SimInstant, u64)> = None;
-        while let Some((t, seq, payload)) = q.pop() {
-            prop_assert_eq!(seq as usize, payload, "seq ids are assigned in schedule order");
-            if let Some((prev_t, prev_seq)) = last_at_time {
-                if prev_t == t {
-                    prop_assert!(
-                        seq > prev_seq,
-                        "tie at {t:?}: seq {seq} popped after {prev_seq}"
-                    );
-                }
-            }
-            last_at_time = Some((t, seq));
-        }
-    }
 
     /// Identical (seed, qps) produce identical arrival sequences; a
     /// different seed diverges. Arrivals are strictly ordered in time.

@@ -31,6 +31,6 @@ pub use accuracy::{span_exact_match, span_f1, squad_scores, top1_accuracy, topk_
 pub use hist::{LatencyHistogram, MAX_RELATIVE_ERROR, SUB_BUCKET_BITS};
 pub use latency::{percentile_nearest_rank, throughput_fps, LatencyStats};
 pub use map::{average_precision, coco_map};
-pub use miou::{benchmark_eval_classes, benchmark_miou, ConfusionMatrix};
+pub use miou::{benchmark_eval_classes, benchmark_miou, ConfusionMatrix, IouCounts};
 pub use psnr::{mean_psnr_db, noise_sigma_for_psnr, psnr_db};
 pub use wer::{corpus_wer, edit_ops, utterance_wer, EditOps};

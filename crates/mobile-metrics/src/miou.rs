@@ -1,9 +1,15 @@
 //! Mean intersection-over-union for semantic segmentation.
 //!
-//! Implemented over a dense confusion matrix. Per the paper's Section 3.2,
-//! the benchmark's mIoU only counts pixels whose *ground-truth* label is
-//! one of the 31 most frequent classes (class 31, "other", is excluded from
-//! the ground-truth side but predictions may still land there).
+//! Per the paper's Section 3.2, the benchmark's mIoU only counts pixels
+//! whose *ground-truth* label is one of the 31 most frequent classes (class
+//! 31, "other", is excluded from the ground-truth side but predictions may
+//! still land there).
+//!
+//! Two tallies feed one formula. A dense [`ConfusionMatrix`] keeps every
+//! `(gt, pred)` cell; [`IouCounts`] keeps only each class's true
+//! positives, false positives and false negatives, which is all the mIoU
+//! reads. Both are integer counts, so they sum exactly in any order and
+//! give bit-equal scores over the same pixels.
 
 use mobile_data::types::LabelMap;
 use serde::{Deserialize, Serialize};
@@ -77,20 +83,21 @@ impl ConfusionMatrix {
         self.counts[gt as usize * self.n + pred as usize]
     }
 
-    /// IoU of one class: `tp / (tp + fp + fn)`, or `None` if the class
-    /// never appears in either role.
+    /// One class's `(tp, fp, fn)` read off the matrix.
     #[must_use]
-    pub fn class_iou(&self, class: u8) -> Option<f64> {
+    pub fn class_counts(&self, class: u8) -> (u64, u64, u64) {
         let c = class as usize;
         let tp = self.counts[c * self.n + c];
         let fp: u64 = (0..self.n).filter(|&g| g != c).map(|g| self.counts[g * self.n + c]).sum();
         let fn_: u64 = (0..self.n).filter(|&p| p != c).map(|p| self.counts[c * self.n + p]).sum();
-        let denom = tp + fp + fn_;
-        if denom == 0 {
-            None
-        } else {
-            Some(tp as f64 / denom as f64)
-        }
+        (tp, fp, fn_)
+    }
+
+    /// IoU of one class: `tp / (tp + fp + fn)`, or `None` if the class
+    /// never appears in either role.
+    #[must_use]
+    pub fn class_iou(&self, class: u8) -> Option<f64> {
+        iou(self.class_counts(class))
     }
 
     /// Mean IoU over the classes in `eval_classes` that actually occur.
@@ -98,12 +105,125 @@ impl ConfusionMatrix {
     /// Returns 0 if none occur.
     #[must_use]
     pub fn mean_iou(&self, eval_classes: &[u8]) -> f64 {
-        let ious: Vec<f64> = eval_classes.iter().filter_map(|&c| self.class_iou(c)).collect();
-        if ious.is_empty() {
-            0.0
+        mean_iou(eval_classes, |c| self.class_counts(c))
+    }
+}
+
+/// Per-class `(tp, fp, fn)` pixel counts over `n` classes: the part of a
+/// [`ConfusionMatrix`] the mIoU reads, in `3n` integers instead of `n²`.
+///
+/// A pixel with ground truth `g` predicted as `p` is a true positive of
+/// `g` when they agree, and otherwise a false negative of `g` and a false
+/// positive of `p`. Tallies of disjoint pixel sets [`merge`](Self::merge)
+/// exactly, so a dataset can be folded one sample at a time, in any order
+/// or split, and [`Self::mean_iou`] still equals the confusion matrix's
+/// bit for bit.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct IouCounts {
+    tp: Vec<u64>,
+    fp: Vec<u64>,
+    fn_: Vec<u64>,
+}
+
+impl IouCounts {
+    /// Zero counts over `n` classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0);
+        IouCounts { tp: vec![0; n], fp: vec![0; n], fn_: vec![0; n] }
+    }
+
+    /// Class count.
+    #[must_use]
+    pub fn num_classes(&self) -> usize {
+        self.tp.len()
+    }
+
+    /// Records one pixel: ground truth `gt`, prediction `pred`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either label is out of range.
+    pub fn record(&mut self, gt: u8, pred: u8) {
+        let (g, p) = (gt as usize, pred as usize);
+        assert!(g < self.tp.len() && p < self.tp.len(), "label out of range");
+        if g == p {
+            self.tp[g] += 1;
         } else {
-            ious.iter().sum::<f64>() / ious.len() as f64
+            self.fn_[g] += 1;
+            self.fp[p] += 1;
         }
+    }
+
+    /// Accumulates a full ground-truth/prediction map pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the maps have different geometry.
+    pub fn record_maps(&mut self, gt: &LabelMap, pred: &LabelMap) {
+        assert_eq!((gt.height, gt.width), (pred.height, pred.width), "map size mismatch");
+        for (&g, &p) in gt.labels.iter().zip(pred.labels.iter()) {
+            self.record(g, p);
+        }
+    }
+
+    /// Adds another tally over the same classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class counts differ.
+    pub fn merge(&mut self, other: &IouCounts) {
+        assert_eq!(self.num_classes(), other.num_classes(), "class count mismatch");
+        for (mine, theirs) in
+            [(&mut self.tp, &other.tp), (&mut self.fp, &other.fp), (&mut self.fn_, &other.fn_)]
+        {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+    }
+
+    /// One class's `(tp, fp, fn)`.
+    #[must_use]
+    pub fn class_counts(&self, class: u8) -> (u64, u64, u64) {
+        let c = class as usize;
+        (self.tp[c], self.fp[c], self.fn_[c])
+    }
+
+    /// Mean IoU over the classes in `eval_classes` that actually occur —
+    /// [`ConfusionMatrix::mean_iou`]'s formula.
+    ///
+    /// Returns 0 if none occur.
+    #[must_use]
+    pub fn mean_iou(&self, eval_classes: &[u8]) -> f64 {
+        mean_iou(eval_classes, |c| self.class_counts(c))
+    }
+}
+
+/// IoU from one class's `(tp, fp, fn)`: `tp / (tp + fp + fn)`, or `None`
+/// if the class never appears in either role.
+fn iou((tp, fp, fn_): (u64, u64, u64)) -> Option<f64> {
+    let denom = tp + fp + fn_;
+    if denom == 0 {
+        None
+    } else {
+        Some(tp as f64 / denom as f64)
+    }
+}
+
+/// The mIoU formula both tallies share: the mean of the IoUs of the
+/// `eval_classes` that occur, summed in `eval_classes` order; 0 if none
+/// occur.
+fn mean_iou(eval_classes: &[u8], counts: impl Fn(u8) -> (u64, u64, u64)) -> f64 {
+    let ious: Vec<f64> = eval_classes.iter().filter_map(|&c| iou(counts(c))).collect();
+    if ious.is_empty() {
+        0.0
+    } else {
+        ious.iter().sum::<f64>() / ious.len() as f64
     }
 }
 
@@ -196,6 +316,50 @@ mod tests {
         // class0: tp=14, fp=0, fn=1 -> 14/15; class3: 1; class7: fp only -> 0.
         let expected = (14.0 / 15.0 + 1.0 + 0.0) / 3.0;
         assert!((miou - expected).abs() < 1e-9, "miou {miou} vs {expected}");
+    }
+
+    /// A tiny deterministic generator for random maps (xorshift).
+    fn random_map(state: &mut u64, h: usize, w: usize, classes: u64) -> LabelMap {
+        let mut map = LabelMap::zeros(h, w);
+        for l in &mut map.labels {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *l = (*state % classes) as u8;
+        }
+        map
+    }
+
+    #[test]
+    fn iou_counts_sum_to_the_confusion_matrix() {
+        // Random map pairs, folded one sample at a time and in two halves
+        // merged out of order: every class's (tp, fp, fn) equals the
+        // confusion matrix's, and the mIoU is bit-equal to benchmark_miou.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for case in 0..24 {
+            let n = 1 + case % 7;
+            // Few classes make some eval classes absent; 32 uses "other".
+            let classes = [3, 8, 32][case % 3];
+            let gts: Vec<LabelMap> =
+                (0..n).map(|_| random_map(&mut state, 5, 9, classes)).collect();
+            let preds: Vec<LabelMap> =
+                (0..n).map(|_| random_map(&mut state, 5, 9, classes)).collect();
+            let mut cm = ConfusionMatrix::new(32);
+            let mut whole = IouCounts::new(32);
+            let (mut front, mut back) = (IouCounts::new(32), IouCounts::new(32));
+            for (i, (g, p)) in gts.iter().zip(&preds).enumerate() {
+                cm.record_maps(g, p);
+                whole.record_maps(g, p);
+                if i < n / 2 { &mut front } else { &mut back }.record_maps(g, p);
+            }
+            back.merge(&front);
+            assert_eq!(back, whole, "merge order must not matter");
+            for c in 0..32u8 {
+                assert_eq!(whole.class_counts(c), cm.class_counts(c), "class {c}");
+            }
+            let want = benchmark_miou(&gts, &preds);
+            assert_eq!(whole.mean_iou(&benchmark_eval_classes()).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

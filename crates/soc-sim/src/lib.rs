@@ -50,7 +50,7 @@ pub use dvfs::DvfsLadder;
 pub use engine::{EngineId, EngineKind, EngineSpec, EngineSpecBuilder};
 pub use executor::{estimate_query_secs, run_offline, run_query, OfflineResult, QueryBreakdown, QueryResult};
 pub use fleet::{sample_unit, DeviceUnit, FleetProfile};
-pub use plan::{ExecMemo, OfflinePlan, QueryPlan, RateMemo, StreamPlan};
+pub use plan::{ExecMemo, OfflinePlan, QueryPlan, QueryStep, RateMemo, StreamPlan};
 pub use plan_batch::{BatchPlan, BatchState};
 pub use power::{EnergyMeter, EnergySnapshot};
 pub use schedule::{Schedule, ScheduleError, Stage};

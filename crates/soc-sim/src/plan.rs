@@ -230,7 +230,10 @@ impl QueryPlan {
     /// breakdown. See the type-level docs for the bit-identity contract.
     #[must_use]
     pub fn execute(&self, state: &mut SocState) -> QueryResult {
-        self.execute_inner(state, None)
+        let freq = state.freq_factor();
+        let steady = SteadyState::from_plan(self, freq);
+        let step = self.advance(state, freq, &steady);
+        self.result(step, steady.stage_compute)
     }
 
     /// [`Self::execute`] with a steady-state fast-forward memo.
@@ -253,11 +256,45 @@ impl QueryPlan {
     /// time the full executor state revisits a fixed point.
     #[must_use]
     pub fn execute_memo(&self, state: &mut SocState, memo: &mut ExecMemo) -> QueryResult {
-        self.execute_inner(state, Some(memo))
+        let freq = state.freq_factor();
+        let steady = memo.get_or_record(freq, |freq| SteadyState::from_plan(self, freq));
+        let step = self.advance(state, freq, steady);
+        self.result(step, steady.stage_compute.clone())
     }
 
-    fn execute_inner(&self, state: &mut SocState, memo: Option<&mut ExecMemo>) -> QueryResult {
+    /// [`Self::execute_memo`] without the breakdown: the same state
+    /// evolution and the same scalars, and no allocation once the memo
+    /// holds the query's operating point. [`Self::step_result`] rebuilds
+    /// the full [`QueryResult`] from the step and the memo afterwards.
+    #[must_use]
+    pub fn step_memo(&self, state: &mut SocState, memo: &mut ExecMemo) -> QueryStep {
         let freq = state.freq_factor();
+        let steady = memo.get_or_record(freq, |freq| SteadyState::from_plan(self, freq));
+        self.advance(state, freq, steady)
+    }
+
+    /// The [`QueryResult`] [`Self::execute_memo`] would have returned for
+    /// a step [`Self::step_memo`] took with this `memo`: the breakdown is
+    /// read back from the operating point the step recorded or replayed.
+    /// Looking it up counts no memo hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memo` holds no entry at the step's frequency, i.e. the
+    /// step was not taken with this memo.
+    #[must_use]
+    pub fn step_result(&self, step: QueryStep, memo: &ExecMemo) -> QueryResult {
+        let steady = memo
+            .get(step.freq_factor)
+            .expect("the step recorded its operating point in this memo");
+        self.result(step, steady.stage_compute.clone())
+    }
+
+    /// The per-query thermal, energy and battery bookkeeping: charges the
+    /// query's average power over its duration and returns the scalars
+    /// read at dispatch and after completion. Every entry point runs
+    /// exactly this step.
+    fn advance(&self, state: &mut SocState, freq: f64, steady: &SteadyState) -> QueryStep {
         let dvfs_level = state.dvfs_level();
         let temperature_c = state.thermal.temperature_c();
         debug_assert!(
@@ -269,18 +306,11 @@ impl QueryPlan {
             "plan op ranges must tile the op array"
         );
 
-        let steady = match memo {
-            Some(memo) => memo.get_or_record(freq, |freq| SteadyState::from_plan(self, freq)),
-            None => SteadyState::from_plan(self, freq),
-        };
-        let SteadyState { stage_compute, energy_terms, compute_total } = steady;
-        let stage_engines: Vec<EngineId> = self.stages.iter().map(|s| s.engine).collect();
-
-        let total = compute_total + self.transfer + self.overhead;
+        let total = steady.compute_total + self.transfer + self.overhead;
 
         // Thermal/energy bookkeeping over the query duration.
         let avg_power = if total > SimDuration::ZERO {
-            energy_terms / total.as_secs_f64()
+            steady.energy_terms / total.as_secs_f64()
         } else {
             0.0
         };
@@ -290,15 +320,27 @@ impl QueryPlan {
             battery.drain(avg_power, total);
         }
 
-        QueryResult {
+        QueryStep {
             latency: total,
             freq_factor: freq,
             dvfs_level,
             temperature_c,
             total_joules: state.energy.total_joules(),
+        }
+    }
+
+    /// Assembles a step and its per-stage compute times into the full
+    /// result.
+    fn result(&self, step: QueryStep, stage_compute: Vec<SimDuration>) -> QueryResult {
+        QueryResult {
+            latency: step.latency,
+            freq_factor: step.freq_factor,
+            dvfs_level: step.dvfs_level,
+            temperature_c: step.temperature_c,
+            total_joules: step.total_joules,
             breakdown: QueryBreakdown {
                 stage_compute,
-                stage_engines,
+                stage_engines: self.stages.iter().map(|s| s.engine).collect(),
                 transfer: self.transfer,
                 overhead: self.overhead,
                 launch: self.launch,
@@ -306,6 +348,23 @@ impl QueryPlan {
             },
         }
     }
+}
+
+/// The scalar half of a [`QueryResult`]: what one query step reports
+/// without its per-stage breakdown.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueryStep {
+    /// End-to-end latency.
+    pub latency: SimDuration,
+    /// DVFS frequency factor in effect (1.0 = unthrottled).
+    pub freq_factor: f64,
+    /// DVFS ladder index in effect at dispatch (0 = fastest point).
+    pub dvfs_level: usize,
+    /// Die temperature at dispatch, before this query's heat was
+    /// deposited (°C).
+    pub temperature_c: f64,
+    /// Cumulative device energy after this query completed (joules).
+    pub total_joules: f64,
 }
 
 /// The frequency-dependent slice of one executed query: everything the
@@ -376,7 +435,7 @@ impl<V> Default for FreqMemo<V> {
     }
 }
 
-impl<V: Clone> FreqMemo<V> {
+impl<V> FreqMemo<V> {
     /// An empty memo; the first lookup at each operating point pays the
     /// full computation.
     #[must_use]
@@ -399,19 +458,25 @@ impl<V: Clone> FreqMemo<V> {
 
     /// The value recorded at `freq`'s exact bits, or `compute(freq)`,
     /// recorded first.
-    pub(crate) fn get_or_record(&mut self, freq: f64, compute: impl FnOnce(f64) -> V) -> V {
+    pub(crate) fn get_or_record(&mut self, freq: f64, compute: impl FnOnce(f64) -> V) -> &V {
         let bits = freq.to_bits();
-        match self.entries.binary_search_by_key(&bits, |e| e.0) {
+        let i = match self.entries.binary_search_by_key(&bits, |e| e.0) {
             Ok(i) => {
                 self.hits += 1;
-                self.entries[i].1.clone()
+                i
             }
             Err(i) => {
-                let value = compute(freq);
-                self.entries.insert(i, (bits, value.clone()));
-                value
+                self.entries.insert(i, (bits, compute(freq)));
+                i
             }
-        }
+        };
+        &self.entries[i].1
+    }
+
+    /// The value recorded at `freq`'s exact bits, if any. Counts no hit.
+    pub(crate) fn get(&self, freq: f64) -> Option<&V> {
+        let bits = freq.to_bits();
+        self.entries.binary_search_by_key(&bits, |e| e.0).ok().map(|i| &self.entries[i].1)
     }
 }
 
@@ -489,7 +554,7 @@ impl StreamPlan {
     /// per pair (as [`OfflinePlan::execute`] does per stream).
     #[must_use]
     pub fn sample_secs_memo(&self, freq: f64, batch: usize, memo: &mut RateMemo) -> f64 {
-        memo.get_or_record(freq, |freq| self.sample_secs(freq, batch))
+        *memo.get_or_record(freq, |freq| self.sample_secs(freq, batch))
     }
 }
 
@@ -980,6 +1045,31 @@ mod tests {
             assert_eq!(a, b, "memoized walk diverged at freq {freq}");
             assert_eq!(via_memo, fresh);
         }
+    }
+
+    #[test]
+    fn step_memo_replays_execute_memo() {
+        // The scalar step and the full result take the same bookkeeping
+        // step: equal scalars, equal state, and the breakdown read back
+        // from the memo equals the one execute_memo returned.
+        let plan = memo_plan();
+        let (mut step_memo, mut full_memo) = (ExecMemo::new(), ExecMemo::new());
+        for freq in [1.0, 0.9, 0.9, 1.0, 0.8] {
+            let thermal_spec = crate::thermal::ThermalSpec::default();
+            let battery_spec = crate::battery::BatterySpec::default();
+            let mut stepped = crate::soc::SocState {
+                thermal: crate::thermal::ThermalState::new(thermal_spec, 22.0),
+                energy: crate::power::EnergyMeter::new(0.1),
+                battery: Some(crate::battery::BatteryState::new(battery_spec, 0.5)),
+                dvfs: crate::dvfs::DvfsLadder::new(vec![freq]),
+            };
+            let mut full = stepped.clone();
+            let step = plan.step_memo(&mut stepped, &mut step_memo);
+            let result = plan.execute_memo(&mut full, &mut full_memo);
+            assert_eq!(plan.step_result(step, &step_memo), result, "freq {freq}");
+            assert_eq!(stepped, full);
+        }
+        assert_eq!(step_memo.hits(), full_memo.hits(), "step_result counts no hit");
     }
 
     #[test]
