@@ -69,13 +69,16 @@ serve-metrics: build
 
 ## Fleet determinism smoke: run the field-population sweep artifact once
 ## on one worker and once on the full pool, and hold the bit-reproducibility
-## contract as a byte diff — same seed, same report, any worker count.
+## contract as a byte diff — same seed, same report, any worker count —
+## then hold the release build to tests/golden/reproduce_fleet.txt, the
+## text the debug-build `reproduce_golden` test pins.
 fleet: build
 	@rm -rf out/fleet && mkdir -p out/fleet
 	@MLPERF_WORKERS=1 target/release/reproduce fleet > out/fleet/report-w1.txt
 	@MLPERF_WORKERS=7 target/release/reproduce fleet > out/fleet/report-w7.txt
 	@cmp out/fleet/report-w1.txt out/fleet/report-w7.txt || { echo "fleet: report differs across worker counts"; exit 1; }
-	@echo "fleet: report byte-identical across MLPERF_WORKERS=1 and 7"
+	@cmp out/fleet/report-w1.txt tests/golden/reproduce_fleet.txt || { echo "fleet: report differs from tests/golden/reproduce_fleet.txt"; exit 1; }
+	@echo "fleet: report byte-identical across MLPERF_WORKERS=1 and 7, and to its golden"
 
 ## Tuning determinism smoke: run the heuristic-vs-optimal gap-table
 ## artifact once on one worker and once on the full pool, and hold the
