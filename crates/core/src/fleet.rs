@@ -15,9 +15,13 @@
 //! chip, **sorts each group by the unit's dedup key**, and packs them
 //! into K-lane [`soc_sim::plan_batch::BatchPlan`] waves:
 //!
-//! * sorting clusters bit-equal units into the same wave, so the
-//!   executor's frequency-bit dedup collapses them to one op-array walk
-//!   per step (the uniform-fleet fast path);
+//! * every wave of a (shard, chip) steps through one [`ExecMemo`] kept
+//!   next to its `BatchPlan`, so the cell walks the op arrays once per
+//!   operating point, and a lane replays its previous step while its
+//!   frequency bits do not change;
+//! * sorting clusters bit-equal units into the same wave, where they
+//!   dispatch at the same frequencies (the report's lane dedup counts
+//!   them);
 //! * per-unit background load re-lowers through
 //!   [`SweepPlan::relower_query_batch_into`] — O(stages) per lane, never
 //!   a recompile, no allocation after the first wave;
@@ -51,7 +55,7 @@ use nn_graph::models::ModelId;
 use serde::Serialize;
 use soc_sim::catalog::{ChipId, Generation};
 use soc_sim::fleet::{sample_unit, DeviceUnit, FleetProfile};
-use soc_sim::plan::{PlanDelta, SweepPlan};
+use soc_sim::plan::{ExecMemo, PlanDelta, SweepPlan};
 use soc_sim::plan_batch::{BatchPlan, BatchState};
 use soc_sim::soc::{Soc, SocState};
 use std::sync::Arc;
@@ -152,7 +156,12 @@ pub struct FleetReport {
     pub queries_per_device: u32,
     /// Lane-queries executed through the batched executor.
     pub lane_queries: u64,
-    /// Lane-queries that shared another lane's op-array walk.
+    /// Lane-queries that dispatched at a frequency another lane of the
+    /// same step also ran at: per step, lanes minus distinct frequency
+    /// bit patterns ([`BatchState::last_distinct_frequencies`]). No step
+    /// walks the op arrays, so this counts alike lanes, not saved walks;
+    /// the report still prints it as lanes that "shared another lane's
+    /// walk".
     pub lanes_deduped: u64,
     /// Devices replayed from the last flushed unit instead of executed.
     pub memo_hits: u64,
@@ -217,6 +226,10 @@ struct ShardOut {
 /// (shard, chip), refilled across every wave.
 struct WaveScratch {
     batch_plan: Option<BatchPlan>,
+    /// The roofline results at every operating point the cell's waves
+    /// reached; it belongs to `batch_plan`'s op arrays, so it is replaced
+    /// together with the plan when the shard moves to the next cell.
+    memo: ExecMemo,
     batch: BatchState,
     states: Vec<SocState>,
     deltas: Vec<PlanDelta>,
@@ -230,6 +243,7 @@ impl WaveScratch {
     fn new(lanes: usize) -> Self {
         WaveScratch {
             batch_plan: None,
+            memo: ExecMemo::new(),
             batch: BatchState::default(),
             states: Vec::with_capacity(lanes),
             deltas: Vec::with_capacity(lanes),
@@ -278,7 +292,7 @@ fn run_wave(
     scratch.throttle_at.clear();
     scratch.throttle_at.resize(k, None);
     for _ in 0..queries {
-        let _ = bp.execute_latencies(&mut scratch.batch);
+        let _ = bp.execute_latencies(&mut scratch.batch, &mut scratch.memo);
         *lane_queries += k as u64;
         *lanes_deduped += (k - scratch.batch.last_distinct_frequencies()) as u64;
         let freqs = scratch.batch.last_freq_factors();
@@ -335,6 +349,7 @@ fn run_shard(config: &FleetConfig, targets: &[CellTarget], lo: u64, hi: u64) -> 
         let target = &targets[cell];
         let mut last: Option<([u64; 6], UnitScore)> = None;
         scratch.batch_plan = None;
+        scratch.memo = ExecMemo::new();
         wave.clear();
         for (key, _, unit) in group {
             if let Some((_, score)) = last.filter(|&(k, _)| k == key) {
@@ -668,12 +683,12 @@ mod tests {
         assert_eq!(report.memo_hits, 256 - config.lanes as u64);
         assert_eq!(report.cells[0].devices, 256);
         // All devices bit-identical: one latency value fleet-wide, and
-        // within each executed wave all lanes dedup to one walk.
+        // within each executed wave all lanes dispatch at one frequency.
         assert_eq!(report.cells[0].latency_ns.min(), report.cells[0].latency_ns.max());
         assert_eq!(
             report.lanes_deduped,
             report.lane_queries - u64::from(config.queries_per_device),
-            "each wave step pays exactly one walk"
+            "each wave step sees exactly one distinct frequency"
         );
     }
 

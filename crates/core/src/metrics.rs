@@ -124,10 +124,11 @@ counters! {
     /// Each was sampled, executed or replayed, and scored.
     fleet_devices_simulated => "mlperf_fleet_devices_simulated_total",
         "Fleet devices fully simulated by the fleet executor.";
-    /// The executor deduplicates dispatch-frequency bits within a wave
-    /// step.
+    /// Per wave step, lanes minus distinct dispatch-frequency bit
+    /// patterns. No step walks the op arrays, so this counts alike
+    /// lanes, not saved walks.
     fleet_lanes_deduped => "mlperf_fleet_lanes_deduped_total",
-        "Fleet lane-queries that shared another lane's op-array walk.";
+        "Fleet lane-queries that dispatched at a frequency another lane of the same step also ran at.";
     /// Accuracy scores, delta re-lowerings and the ablations' schedule
     /// dedup all count here.
     sweep_hits => "mlperf_sweep_cache_hits_total",

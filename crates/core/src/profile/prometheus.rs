@@ -185,7 +185,7 @@ mlperf_plan_cache_misses_total 2
 # HELP mlperf_fleet_devices_simulated_total Fleet devices fully simulated by the fleet executor.
 # TYPE mlperf_fleet_devices_simulated_total counter
 mlperf_fleet_devices_simulated_total 4096
-# HELP mlperf_fleet_lanes_deduped_total Fleet lane-queries that shared another lane's op-array walk.
+# HELP mlperf_fleet_lanes_deduped_total Fleet lane-queries that dispatched at a frequency another lane of the same step also ran at.
 # TYPE mlperf_fleet_lanes_deduped_total counter
 mlperf_fleet_lanes_deduped_total 300
 # HELP mlperf_sweep_cache_hits_total Sweep-engine lookups answered from a sweep cache.

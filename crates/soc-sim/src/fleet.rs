@@ -15,12 +15,13 @@
 //! Every distribution is **discrete or grid-quantized** (speed bins,
 //! envelope classes, ambients on a 0.25 °C grid, battery health/charge on
 //! a 0.01 grid, background-load classes). Two units that land on the same
-//! grid points have **bit-equal** sampled state, which is what the batched
-//! executor's frequency-bit dedup ([`crate::plan_batch`]) and the fleet
-//! unit memo key on: a uniform sub-population packed into one wave costs
-//! one op-array walk per step instead of K, and repeated units skip
-//! execution entirely. Continuous distributions would make every unit
-//! unique and silently turn both fast paths off.
+//! grid points have **bit-equal** sampled state, and units on one speed
+//! bin dispatch at bit-equal DVFS frequencies. The fleet executor keys
+//! its caches on exactly that: repeated units skip execution entirely,
+//! and the batched executor ([`crate::plan_batch`]) walks each operating
+//! point's op arrays once per memo, whichever lanes reach it.
+//! Continuous distributions would make every unit unique and every
+//! lane's frequencies its own, and silently turn both fast paths off.
 
 use crate::battery::{BatterySpec, BatteryState};
 use crate::dvfs::DvfsLadder;

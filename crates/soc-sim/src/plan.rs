@@ -34,6 +34,12 @@
 //! operand order: `flops / (denom * freq)` on the single-stream path,
 //! pre-divided `flops / denom` for the estimator and the search cost
 //! model.
+//!
+//! The single-stream path has one walk over the op arrays,
+//! `SteadyState::from_plan`. [`QueryPlan::execute`] runs it per query;
+//! [`ExecMemo`] records it once per operating point for
+//! [`QueryPlan::execute_memo`], [`QueryPlan::step_memo`] and every lane
+//! of a [`BatchPlan`].
 
 use crate::engine::{EngineId, EngineSpec};
 use crate::executor::{OfflineResult, QueryBreakdown, QueryResult};
@@ -45,8 +51,8 @@ use nn_graph::{DataType, Graph, OpClass, OpCost};
 use std::sync::Arc;
 
 /// One lowered graph node: everything the roofline model needs, with all
-/// graph/engine lookups already resolved. Crate-visible so the batched
-/// lockstep executor ([`crate::plan_batch`]) can stream the same arrays.
+/// graph/engine lookups already resolved. Crate-visible so the search
+/// cost model ([`crate::search`]) lowers its per-op terms with it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanOp {
     /// Node FLOPs as `f64` (0.0 for memory-only ops).
@@ -372,15 +378,20 @@ pub struct QueryStep {
 /// energy bookkeeping. An [`ExecMemo`] records one per operating point.
 #[derive(Debug, Clone)]
 pub struct SteadyState {
-    stage_compute: Vec<SimDuration>,
-    energy_terms: f64,
-    compute_total: SimDuration,
+    /// Per-stage compute time, in stage order.
+    pub(crate) stage_compute: Vec<SimDuration>,
+    /// `Σ power_w · t` over the stages, the numerator of average power.
+    pub(crate) energy_terms: f64,
+    /// Sum of `stage_compute`.
+    pub(crate) compute_total: SimDuration,
 }
 
 impl SteadyState {
     /// The full O(ops) roofline walk — the exact loop `execute` has always
-    /// run, factored so the memoized path can replay its recorded output.
-    fn from_plan(plan: &QueryPlan, freq: f64) -> Self {
+    /// run, factored so the memoized paths can replay its recorded output.
+    /// soc-sim's only single-stream walk: [`QueryPlan`]'s entry points and
+    /// every [`BatchPlan`] lane read its result.
+    pub(crate) fn from_plan(plan: &QueryPlan, freq: f64) -> Self {
         let mut stage_compute = Vec::with_capacity(plan.stages.len());
         let mut energy_terms = 0.0f64;
         let mut compute_total = SimDuration::ZERO;
@@ -766,8 +777,8 @@ impl SweepPlan {
 
     /// Re-lowers the single-stream plan under **each** delta in `deltas`,
     /// packed as one [`BatchPlan`] lane per knob variant, so K variants
-    /// run in one pass over the op arrays — the fleet executor's path,
-    /// one lane per device unit. All lanes share the baseline op/stage
+    /// step in lockstep — the fleet executor's path, one lane per device
+    /// unit. All lanes share the baseline op/stage
     /// arrays (no swept knob touches them); each lane carries its own
     /// re-lowered overhead terms. Lane `k` executes bit-identically to
     /// `self.relower_query(deltas[k]).execute(..)` against the same
@@ -797,7 +808,10 @@ impl SweepPlan {
     /// refills `batch`'s per-lane overhead vectors in place, reusing the
     /// shared op arrays — the per-wave path for fleet sweeps, where a
     /// fresh [`BatchPlan`] per wave would pay four vector allocations
-    /// each time. The lane count may change between refills.
+    /// each time. The lane count may change between refills. A
+    /// [`crate::plan_batch::BatchState`] this batch steps must be refilled
+    /// too before its next step: its lane slots hold the old lanes'
+    /// overheads (see the [contract](crate::plan_batch)).
     ///
     /// # Panics
     ///

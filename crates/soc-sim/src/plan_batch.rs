@@ -1,18 +1,24 @@
-//! Batched lockstep plan execution: K device lanes per pass over the op
-//! arrays.
+//! Batched lockstep plan execution: K device lanes stepped together
+//! through one compiled plan.
 //!
 //! The compiled [`QueryPlan`] evaluates one `(device, query)` pair per
 //! call. Fleet-scale population sweeps want the *same* plan evaluated
 //! against many device variants — different thermal states, battery
-//! caps, DVFS ladders, or per-unit re-lowered overhead knobs — and paying
-//! one full traversal of the op arrays per variant is the binding cost.
-//! The fleet executor builds its lanes with
+//! caps, DVFS ladders, or per-unit re-lowered overhead knobs. The fleet
+//! executor builds its lanes with
 //! [`crate::plan::SweepPlan::relower_query_batch`] (and refills them per
 //! wave with [`crate::plan::SweepPlan::relower_query_batch_into`]).
-//! [`BatchPlan`] executes K lanes in lockstep: one
-//! pass over the per-op roofline arrays updates K `f64` accumulator
-//! lanes (a manually unrolled fixed-width block — no `std::simd`), then
-//! per-lane DVFS/thermal/energy stepping runs in the exact scalar order.
+//! [`BatchPlan`] steps K lanes in lockstep; per lane, a step reads the
+//! dispatch frequency, looks up the roofline result at that operating
+//! point, then runs the DVFS/thermal/energy/battery stepping in the exact
+//! scalar order.
+//!
+//! No step walks the op arrays itself. The per-stage roofline result is
+//! a pure function of the op arrays and the dispatch frequency's bits, so
+//! a step reads it from a caller-owned [`ExecMemo`], the memo
+//! [`QueryPlan::execute_memo`] uses. The memo's first lookup at each
+//! operating point runs `SteadyState::from_plan`, soc-sim's one
+//! single-stream roofline walk.
 //!
 //! # Lane layout
 //!
@@ -34,71 +40,86 @@
 //! Lane `k` of [`BatchPlan::execute`] is **bit-identical** — every `f64`,
 //! 0 ULPs — to a scalar [`QueryPlan::execute`] of the same device through
 //! the same query sequence: identical latencies, breakdowns, energy and
-//! DVFS/thermal trajectories. Two mechanisms preserve this:
+//! DVFS/thermal trajectories. Two caches carry this, and each replays a
+//! result that the same inputs already produced:
 //!
-//! * The per-op accumulation keeps the scalar operand and addition order
-//!   *per lane* (`t += (flops / (denom * freq)).max(memory) + sched`);
-//!   lanes only share the loop, never intermediate values, and IEEE-754
-//!   arithmetic is deterministic per lane regardless of how the compiler
-//!   packs the independent divides.
-//! * Lanes whose dispatch frequency has **identical bits** share one set
-//!   of accumulator lanes outright — same inputs through the same
-//!   operations are the same bits, so deduplication is unobservable.
-//!   This is what makes a uniform fleet (K clones marching through one
-//!   trajectory) cost one walk per step instead of K.
-//! * The same reasoning dedups the expensive part of the per-lane
-//!   stepping: the RC decay factor `exp(-dt/tau)` is a pure function of
-//!   the step duration and the lane's thermal time constant, so lanes
-//!   with bit-equal `(dt, tau)` share one `exp`
-//!   ([`ThermalState::advance_with_alpha`]).
+//! * **The memo.** It records `SteadyState::from_plan` at each distinct
+//!   frequency's bits: the arithmetic [`QueryPlan::execute`] runs, op for
+//!   op and in stage order (`flops / (denom * freq)`, then
+//!   `.max(memory_secs) + sched_secs`; per stage `power_w * t`, then
+//!   `SimDuration::from_secs_f64`).
+//! * **The lane slot.** Each lane keeps its previous step's frequency
+//!   bits, total latency, average power and RC decay factor
+//!   `exp(-total/τ)`. All three values are pure functions of the
+//!   frequency bits, the lane's re-lowered overheads and its thermal time
+//!   constant. So while a lane's frequency bits do not change, the lane
+//!   replays them: no memo lookup, no division, no `exp`.
+//!
+//! The slot is keyed by the frequency bits alone, so both caches hold
+//! only under this contract:
+//!
+//! * a memo belongs to one plan's op arrays. Every [`BatchPlan`] that
+//!   shares them, and [`QueryPlan::execute_memo`] on the same arrays, may
+//!   share it;
+//! * between two refills ([`BatchState::gather`], [`BatchState::refill`]),
+//!   a [`BatchState`] is stepped by one [`BatchPlan`], whose lanes do not
+//!   change, and one memo. A refill clears every slot.
+//!
+//! Debug builds check the contract on every slot hit: the step recomputes
+//! the slot from the memo and the lane and asserts equal bits, so every
+//! debug-build test runs the caches against that oracle.
 //!
 //! `tests/plan_equivalence.rs` fuzzes the contract over random graphs,
-//! schedules, lane counts and heterogeneous states.
+//! schedules, lane counts, heterogeneous states and waves of re-lowered
+//! lanes through one memo.
 
 use crate::battery::BatteryState;
 use crate::dvfs::DvfsLadder;
 use crate::engine::EngineId;
 use crate::executor::{QueryBreakdown, QueryResult};
-use crate::plan::{PlanOp, QueryPlan};
+use crate::plan::{ExecMemo, QueryPlan, SteadyState};
 use crate::power::EnergyMeter;
 use crate::soc::SocState;
 use crate::thermal::ThermalState;
 use crate::time::SimDuration;
 use std::sync::Arc;
 
-/// Width of the manually unrolled accumulator block: four independent
-/// `f64` lanes per iteration, enough for the autovectorizer to emit
-/// packed divides on the x86-64 baseline without any `std::simd`
-/// dependency.
-const LANE_WIDTH: usize = 4;
+/// What one lane replays while its dispatch frequency keeps its bits:
+/// the step's total latency, average power and RC decay factor.
+#[derive(Debug, Clone, Copy)]
+struct LaneSlot {
+    /// Bits of the dispatch frequency the slot was derived at.
+    freq_bits: u64,
+    /// Compute total plus the lane's transfer and overhead.
+    total: SimDuration,
+    /// Energy terms over `total`, as [`QueryPlan::execute`] derives it.
+    avg_power: f64,
+    /// `exp(-total/τ)` for the lane's thermal time constant.
+    alpha: f64,
+}
 
-/// Adds one op's roofline term to every accumulator lane, preserving the
-/// scalar executor's exact per-lane operand order:
-/// `t += (flops / (denom * freq)).max(memory) + sched`.
-#[inline]
-fn accumulate_op(op: &PlanOp, freq: &[f64], acc: &mut [f64]) {
-    debug_assert_eq!(freq.len(), acc.len());
-    let PlanOp { flops, denom, memory_secs, sched_secs } = *op;
-    if flops == 0.0 {
-        // The scalar loop short-circuits the divide for memory-only ops;
-        // the max/add still run in the same order.
-        for t in acc.iter_mut() {
-            *t += (0.0f64).max(memory_secs) + sched_secs;
-        }
-        return;
+impl LaneSlot {
+    /// Derives the slot at the operating point `steady` records, in
+    /// [`QueryPlan::execute`]'s operand order.
+    fn derive(
+        freq_bits: u64,
+        steady: &SteadyState,
+        transfer: SimDuration,
+        overhead: SimDuration,
+        thermal: &ThermalState,
+    ) -> Self {
+        let total = steady.compute_total + transfer + overhead;
+        let avg_power = if total > SimDuration::ZERO {
+            steady.energy_terms / total.as_secs_f64()
+        } else {
+            0.0
+        };
+        LaneSlot { freq_bits, total, avg_power, alpha: thermal.decay_alpha(total) }
     }
-    let mut freq_blocks = freq.chunks_exact(LANE_WIDTH);
-    let mut acc_blocks = acc.chunks_exact_mut(LANE_WIDTH);
-    for (f, t) in (&mut freq_blocks).zip(&mut acc_blocks) {
-        // Fixed-width block of independent lanes: each lane runs exactly
-        // the scalar arithmetic, so packing the divides cannot change any
-        // lane's result bits.
-        for l in 0..LANE_WIDTH {
-            t[l] += (flops / (denom * f[l])).max(memory_secs) + sched_secs;
-        }
-    }
-    for (f, t) in freq_blocks.remainder().iter().zip(acc_blocks.into_remainder()) {
-        *t += (flops / (denom * *f)).max(memory_secs) + sched_secs;
+
+    /// Every field as bits, for exact comparison.
+    fn bits(&self) -> (u64, SimDuration, u64, u64) {
+        (self.freq_bits, self.total, self.avg_power.to_bits(), self.alpha.to_bits())
     }
 }
 
@@ -118,6 +139,9 @@ pub struct BatchState {
     battery: Vec<Option<BatteryState>>,
     /// DVFS ladder per lane.
     dvfs: Vec<DvfsLadder>,
+    /// The previous step's slot per lane (`None` until the lane's first
+    /// step after a gather or refill).
+    slots: Vec<Option<LaneSlot>>,
     // ---- per-step scratch, refilled by every BatchPlan step ----
     /// Dispatch-time frequency factor per lane.
     freq: Vec<f64>,
@@ -125,30 +149,17 @@ pub struct BatchState {
     level: Vec<usize>,
     /// Dispatch-time die temperature per lane.
     temp: Vec<f64>,
-    /// Distinct dispatch frequencies this step (by exact bits).
-    uniq_freq: Vec<f64>,
-    /// Lane → index into `uniq_freq`.
-    uniq_of: Vec<usize>,
-    /// Per-distinct-frequency stage accumulator.
-    stage_t: Vec<f64>,
-    /// Per-distinct-frequency duration of the stage just walked.
-    stage_d: Vec<SimDuration>,
-    /// Per-distinct-frequency energy term accumulator.
-    uniq_energy: Vec<f64>,
-    /// Per-distinct-frequency compute total.
-    uniq_total: Vec<SimDuration>,
+    /// Distinct dispatch-frequency bit patterns this step.
+    uniq_freq: Vec<u64>,
     /// Latency of the most recent step, per lane.
     latency: Vec<SimDuration>,
     /// Cumulative joules after the most recent step, per lane.
     joules: Vec<f64>,
-    /// Per-step memo of thermal decay factors keyed by
-    /// `(step duration, RC time-constant bits)`: lanes agreeing on both
-    /// share one `exp` — the dominant per-lane stepping cost.
-    alpha_memo: Vec<(SimDuration, u64, f64)>,
 }
 
 impl BatchState {
-    /// Transposes K scalar states into lane vectors (SoA).
+    /// Transposes K scalar states into lane vectors (SoA), every lane
+    /// slot empty.
     #[must_use]
     pub fn gather(states: &[SocState]) -> Self {
         BatchState {
@@ -156,6 +167,7 @@ impl BatchState {
             energy: states.iter().map(|s| s.energy).collect(),
             battery: states.iter().map(|s| s.battery).collect(),
             dvfs: states.iter().map(|s| s.dvfs.clone()).collect(),
+            slots: vec![None; states.len()],
             ..BatchState::default()
         }
     }
@@ -165,9 +177,9 @@ impl BatchState {
     /// fleet sweeps, where one `BatchState` serves thousands of
     /// consecutive K-lane waves and a `gather` per wave would pay four
     /// vector allocations each time. The lane count may change between
-    /// waves. Telemetry from the previous wave
-    /// ([`Self::last_freq_factors`] and friends) is cleared; the per-step
-    /// scratch keeps its capacity.
+    /// waves. Every lane slot is cleared, and so is the telemetry from the
+    /// previous wave ([`Self::last_freq_factors`] and friends); the
+    /// per-step scratch keeps its capacity.
     pub fn refill(&mut self, states: &[SocState]) {
         self.thermal.clear();
         self.thermal.extend(states.iter().map(|s| s.thermal.clone()));
@@ -183,12 +195,15 @@ impl BatchState {
             slot.copy_from(&state.dvfs);
         }
         self.dvfs.extend(states[reused..].iter().map(|s| s.dvfs.clone()));
+        // A slot holds the previous wave's overheads and thermal time
+        // constant, so it must not outlive the wave.
+        self.slots.clear();
+        self.slots.resize(states.len(), None);
         // Stale step telemetry must not leak into the new wave.
         self.freq.clear();
         self.level.clear();
         self.temp.clear();
         self.uniq_freq.clear();
-        self.uniq_of.clear();
         self.latency.clear();
         self.joules.clear();
     }
@@ -251,8 +266,10 @@ impl BatchState {
 
     /// Distinct dispatch-frequency bit patterns the most recent step
     /// observed (0 before the first step). `lanes()` minus this is the
-    /// number of lanes that shared another lane's op-array walk — the
-    /// dedup win the fleet executor counts per wave.
+    /// number of lanes that dispatched at an operating point another lane
+    /// of the same step also ran at: the count the fleet report prints as
+    /// its lane dedup. No step walks the op arrays, so such a lane saves
+    /// no walk; the count describes how alike a wave's lanes run.
     #[must_use]
     pub fn last_distinct_frequencies(&self) -> usize {
         self.uniq_freq.len()
@@ -272,7 +289,7 @@ impl BatchState {
 ///   lane per device unit's background load.
 ///
 /// See the [module docs](crate::plan_batch) for the bit-identity
-/// contract.
+/// contract and the memo it steps through.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     /// The shared op/stage arrays.
@@ -328,7 +345,8 @@ impl BatchPlan {
     /// place**: clears and refills the per-lane overhead vectors without
     /// touching the shared op arrays — the allocation-free path behind
     /// [`crate::plan::SweepPlan::relower_query_batch_into`]. The lane
-    /// count may change between refills.
+    /// count may change between refills, and a [`BatchState`] this batch
+    /// steps must be refilled with it.
     ///
     /// # Panics
     ///
@@ -382,37 +400,43 @@ impl BatchPlan {
         }
     }
 
+
     /// Executes one query on every lane in lockstep, advancing all lane
     /// states, and returns the per-lane [`QueryResult`]s — bit-identical
-    /// to a scalar [`QueryPlan::execute`] per lane.
+    /// to a scalar [`QueryPlan::execute`] per lane. It runs the step
+    /// [`Self::execute_latencies`] runs, then reads each lane's breakdown
+    /// back from `memo`, as [`QueryPlan::step_result`] does.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` does not have exactly one state per lane.
+    /// Panics if `batch` does not have exactly one state per lane, or if
+    /// a lane's operating point is missing from `memo` because the batch
+    /// was last stepped through another memo (see the
+    /// [module docs](crate::plan_batch) for the contract).
     #[must_use]
-    pub fn execute(&self, batch: &mut BatchState) -> Vec<QueryResult> {
-        let lanes = batch.lanes();
-        let mut stage_compute: Vec<Vec<SimDuration>> =
-            (0..lanes).map(|_| Vec::with_capacity(self.plan.stages.len())).collect();
-        self.step(batch, Some(|lane: usize, d: SimDuration| stage_compute[lane].push(d)));
+    pub fn execute(&self, batch: &mut BatchState, memo: &mut ExecMemo) -> Vec<QueryResult> {
+        self.step(batch, memo);
         let stage_engines: Vec<EngineId> = self.plan.stages.iter().map(|s| s.engine).collect();
-        stage_compute
-            .into_iter()
-            .enumerate()
-            .map(|(k, sc)| QueryResult {
-                latency: batch.latency[k],
-                freq_factor: batch.freq[k],
-                dvfs_level: batch.level[k],
-                temperature_c: batch.temp[k],
-                total_joules: batch.joules[k],
-                breakdown: QueryBreakdown {
-                    stage_compute: sc,
-                    stage_engines: stage_engines.clone(),
-                    transfer: self.transfer[k],
-                    overhead: self.overhead[k],
-                    launch: self.launch[k],
-                    sync: self.sync[k],
-                },
+        (0..batch.lanes())
+            .map(|k| {
+                let steady = memo
+                    .get(batch.freq[k])
+                    .expect("the step recorded every lane's operating point in this memo");
+                QueryResult {
+                    latency: batch.latency[k],
+                    freq_factor: batch.freq[k],
+                    dvfs_level: batch.level[k],
+                    temperature_c: batch.temp[k],
+                    total_joules: batch.joules[k],
+                    breakdown: QueryBreakdown {
+                        stage_compute: steady.stage_compute.clone(),
+                        stage_engines: stage_engines.clone(),
+                        transfer: self.transfer[k],
+                        overhead: self.overhead[k],
+                        launch: self.launch[k],
+                        sync: self.sync[k],
+                    },
+                }
             })
             .collect()
     }
@@ -422,22 +446,26 @@ impl BatchPlan {
     /// breakdown assembly. State trajectories (thermal, energy, battery)
     /// are identical to [`Self::execute`]; telemetry for the step is
     /// readable from the batch state
-    /// ([`BatchState::last_freq_factors`] and friends).
+    /// ([`BatchState::last_freq_factors`] and friends). Once `memo` holds
+    /// every operating point the lanes visit, it allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `batch` does not have exactly one state per lane.
-    pub fn execute_latencies<'a>(&self, batch: &'a mut BatchState) -> &'a [SimDuration] {
-        // `fn`-typed `None` monomorphizes a sink-free step: the latency
-        // hot path carries no per-stage sink dispatch at all.
-        self.step(batch, None::<fn(usize, SimDuration)>);
+    pub fn execute_latencies<'a>(
+        &self,
+        batch: &'a mut BatchState,
+        memo: &mut ExecMemo,
+    ) -> &'a [SimDuration] {
+        self.step(batch, memo);
         &batch.latency
     }
 
-    /// One lockstep query step: dispatch reads, the shared op-array
-    /// traversal, then per-lane thermal/energy/battery stepping — every
-    /// per-lane operation in the exact scalar order.
-    fn step<F: FnMut(usize, SimDuration)>(&self, batch: &mut BatchState, mut stage_sink: Option<F>) {
+    /// One lockstep query step. Per lane: the dispatch reads, the lane's
+    /// slot (replayed, or derived from the memo), then the
+    /// thermal/energy/battery stepping, every operation in the exact
+    /// scalar order.
+    fn step(&self, batch: &mut BatchState, memo: &mut ExecMemo) {
         let plan = &*self.plan;
         let lanes = batch.lanes();
         assert_eq!(
@@ -445,133 +473,71 @@ impl BatchPlan {
             self.lanes(),
             "batch state must have one lane per plan lane"
         );
-        debug_assert!(
-            plan.stages.last().map_or(plan.ops.is_empty(), |s| s.ops_end == plan.ops.len()),
-            "plan op ranges must tile the op array"
-        );
 
-        // Dispatch-time reads, per lane, exactly as SocState::freq_factor
-        // / dvfs_level derive them.
         batch.freq.clear();
         batch.level.clear();
         batch.temp.clear();
+        batch.uniq_freq.clear();
+        batch.latency.clear();
+        batch.joules.clear();
         for k in 0..lanes {
+            // Dispatch-time reads, exactly as SocState::freq_factor /
+            // dvfs_level derive them. One ladder scan per lane: `snap` is
+            // `factors()[level_of(..)]`, so deriving the frequency from
+            // the level halves the scans.
             let battery_cap = batch.battery[k].as_ref().map_or(1.0, BatteryState::freq_cap);
             let target = batch.thermal[k].freq_factor().min(battery_cap);
-            // One ladder scan per lane: `snap` is `factors()[level_of(..)]`,
-            // so deriving the frequency from the level halves the scans.
             let level = batch.dvfs[k].level_of(target);
             let freq = batch.dvfs[k].factors()[level];
             debug_assert!(
                 freq.is_finite() && freq > 0.0,
                 "DVFS frequency factor must be positive, got {freq}"
             );
+            let bits = freq.to_bits();
+            if !batch.uniq_freq.contains(&bits) {
+                batch.uniq_freq.push(bits);
+            }
             batch.freq.push(freq);
             batch.level.push(level);
             batch.temp.push(batch.thermal[k].temperature_c());
-        }
 
-        // Deduplicate lanes on exact frequency bits: identical bits run
-        // identical arithmetic, so they share one accumulator lane.
-        batch.uniq_freq.clear();
-        batch.uniq_of.clear();
-        for k in 0..lanes {
-            let bits = batch.freq[k].to_bits();
-            let slot = match batch.uniq_freq.iter().position(|u| u.to_bits() == bits) {
-                Some(s) => s,
-                None => {
-                    batch.uniq_freq.push(batch.freq[k]);
-                    batch.uniq_freq.len() - 1
+            let slot = match batch.slots[k] {
+                Some(slot) if slot.freq_bits == bits => {
+                    debug_assert!(
+                        memo.get(freq).is_some_and(|steady| {
+                            let fresh = LaneSlot::derive(
+                                bits,
+                                steady,
+                                self.transfer[k],
+                                self.overhead[k],
+                                &batch.thermal[k],
+                            );
+                            fresh.bits() == slot.bits()
+                        }),
+                        "lane {k} replayed a stale slot: since its last refill the batch \
+                         was stepped by another plan, another memo or re-lowered lanes"
+                    );
+                    slot
+                }
+                _ => {
+                    let steady = memo.get_or_record(freq, |freq| SteadyState::from_plan(plan, freq));
+                    let slot = LaneSlot::derive(
+                        bits,
+                        steady,
+                        self.transfer[k],
+                        self.overhead[k],
+                        &batch.thermal[k],
+                    );
+                    batch.slots[k] = Some(slot);
+                    slot
                 }
             };
-            batch.uniq_of.push(slot);
-        }
-        let uniq = batch.uniq_freq.len();
-
-        // One traversal of the op arrays, `uniq` accumulator lanes in
-        // lockstep.
-        batch.uniq_energy.clear();
-        batch.uniq_energy.resize(uniq, 0.0);
-        batch.uniq_total.clear();
-        batch.uniq_total.resize(uniq, SimDuration::ZERO);
-        batch.stage_t.clear();
-        batch.stage_t.resize(uniq, 0.0);
-        batch.stage_d.clear();
-        batch.stage_d.resize(uniq, SimDuration::ZERO);
-        let mut op_start = 0usize;
-        for stage in &plan.stages {
-            let ops = &plan.ops[op_start..stage.ops_end];
-            op_start = stage.ops_end;
-            if uniq == 1 {
-                // All lanes share one operating point (the uniform-fleet
-                // hot case): run the walk in the exact scalar loop shape —
-                // accumulator and frequency in registers — instead of
-                // through the slice-lane machinery.
-                let freq = batch.uniq_freq[0];
-                let mut t = 0.0f64;
-                for op in ops {
-                    let compute =
-                        if op.flops == 0.0 { 0.0 } else { op.flops / (op.denom * freq) };
-                    t += compute.max(op.memory_secs) + op.sched_secs;
-                }
-                batch.stage_t[0] = t;
-            } else {
-                for t in batch.stage_t.iter_mut() {
-                    *t = 0.0;
-                }
-                for op in ops {
-                    accumulate_op(op, &batch.uniq_freq, &mut batch.stage_t);
-                }
-            }
-            for u in 0..uniq {
-                let t = batch.stage_t[u];
-                batch.uniq_energy[u] += stage.power_w * t;
-                let d = SimDuration::from_secs_f64(t);
-                batch.uniq_total[u] += d;
-                batch.stage_d[u] = d;
-            }
-            if let Some(sink) = &mut stage_sink {
-                for k in 0..lanes {
-                    sink(k, batch.stage_d[batch.uniq_of[k]]);
-                }
-            }
-        }
-
-        // Per-lane totals and thermal/energy/battery stepping, in the
-        // exact scalar operand order. The RC decay factor `exp(-dt/tau)`
-        // is a pure function of the step duration and the lane's thermal
-        // time constant, so lanes agreeing on both (to the bit) share one
-        // `exp` — in a uniform fleet the whole step pays it once.
-        batch.latency.clear();
-        batch.joules.clear();
-        batch.alpha_memo.clear();
-        for k in 0..lanes {
-            let u = batch.uniq_of[k];
-            let total = batch.uniq_total[u] + self.transfer[k] + self.overhead[k];
-            let avg_power = if total > SimDuration::ZERO {
-                batch.uniq_energy[u] / total.as_secs_f64()
-            } else {
-                0.0
-            };
-            let tau_bits = batch.thermal[k].time_constant_secs().to_bits();
-            let alpha = match batch
-                .alpha_memo
-                .iter()
-                .find(|(d, t, _)| *d == total && *t == tau_bits)
-            {
-                Some(&(_, _, a)) => a,
-                None => {
-                    let a = batch.thermal[k].decay_alpha(total);
-                    batch.alpha_memo.push((total, tau_bits, a));
-                    a
-                }
-            };
-            batch.thermal[k].advance_with_alpha(avg_power, alpha);
-            batch.energy[k].record_active(avg_power, total);
+            batch.thermal[k].advance_with_alpha(slot.avg_power, slot.alpha);
+            batch.energy[k].record_active(slot.avg_power, slot.total);
             if let Some(b) = batch.battery[k].as_mut() {
-                b.drain(avg_power, total);
+                b.drain(slot.avg_power, slot.total);
             }
-            batch.latency.push(total);
+            batch.latency.push(slot.total);
             batch.joules.push(batch.energy[k].total_joules());
         }
     }
@@ -581,7 +547,7 @@ impl BatchPlan {
 mod tests {
     use super::*;
     use crate::battery::BatterySpec;
-    use crate::plan::PlanStage;
+    use crate::plan::{PlanOp, PlanStage};
     use crate::thermal::ThermalSpec;
 
     /// A hand-lowered two-stage plan: compute-bound, memory-only and
@@ -650,9 +616,10 @@ mod tests {
             let states = lane_states(k);
             let bp = BatchPlan::broadcast(Arc::clone(&plan), k);
             let mut batch = BatchState::gather(&states);
+            let mut memo = ExecMemo::new();
             let mut scalar: Vec<SocState> = states.clone();
             for _ in 0..200 {
-                let results = bp.execute(&mut batch);
+                let results = bp.execute(&mut batch, &mut memo);
                 for (i, state) in scalar.iter_mut().enumerate() {
                     let reference = plan.execute(state);
                     assert_results_bit_identical(&reference, &results[i]);
@@ -668,9 +635,10 @@ mod tests {
         let states = vec![lane_states(1).remove(0); 6];
         let bp = BatchPlan::broadcast(Arc::clone(&plan), 6);
         let mut batch = BatchState::gather(&states);
+        let mut memo = ExecMemo::new();
         let mut reference_state = states[0].clone();
         for _ in 0..100 {
-            let results = bp.execute(&mut batch);
+            let results = bp.execute(&mut batch, &mut memo);
             let reference = plan.execute(&mut reference_state);
             for r in &results {
                 assert_results_bit_identical(&reference, r);
@@ -687,9 +655,10 @@ mod tests {
         let bp = BatchPlan::broadcast(Arc::clone(&plan), k);
         let mut full = BatchState::gather(&states);
         let mut fast = BatchState::gather(&states);
+        let mut memo = ExecMemo::new();
         for _ in 0..150 {
-            let results = bp.execute(&mut full);
-            let latencies = bp.execute_latencies(&mut fast).to_vec();
+            let results = bp.execute(&mut full, &mut memo);
+            let latencies = bp.execute_latencies(&mut fast, &mut memo).to_vec();
             for (r, l) in results.iter().zip(&latencies) {
                 assert_eq!(r.latency, *l);
             }
@@ -715,8 +684,9 @@ mod tests {
         let bp = BatchPlan::broadcast(Arc::clone(&plan), 4);
         let first = lane_states(4);
         let mut batch = BatchState::gather(&first);
+        let mut memo = ExecMemo::new();
         for _ in 0..10 {
-            let _ = bp.execute_latencies(&mut batch);
+            let _ = bp.execute_latencies(&mut batch, &mut memo);
         }
         assert!(!batch.last_latencies().is_empty());
         assert!(batch.last_distinct_frequencies() > 0);
@@ -738,8 +708,8 @@ mod tests {
         batch.refill(&third);
         let mut fresh = BatchState::gather(&third);
         for _ in 0..25 {
-            let a = bp3.execute_latencies(&mut batch).to_vec();
-            let b = bp3.execute_latencies(&mut fresh).to_vec();
+            let a = bp3.execute_latencies(&mut batch, &mut memo).to_vec();
+            let b = bp3.execute_latencies(&mut fresh, &mut memo).to_vec();
             assert_eq!(a, b);
         }
         assert_eq!(batch.scatter(), fresh.scatter());
@@ -766,8 +736,12 @@ mod tests {
         let states = lane_states(3);
         let mut a = BatchState::gather(&states);
         let mut b = BatchState::gather(&states);
+        let mut memo = ExecMemo::new();
         for _ in 0..20 {
-            assert_eq!(bp.execute_latencies(&mut a).to_vec(), reference.execute_latencies(&mut b).to_vec());
+            assert_eq!(
+                bp.execute_latencies(&mut a, &mut memo).to_vec(),
+                reference.execute_latencies(&mut b, &mut memo).to_vec()
+            );
         }
         assert_eq!(a.scatter(), b.scatter());
     }
@@ -794,6 +768,6 @@ mod tests {
     fn lane_count_mismatch_panics() {
         let bp = BatchPlan::broadcast(Arc::new(tiny_plan()), 3);
         let mut batch = BatchState::gather(&lane_states(2));
-        let _ = bp.execute(&mut batch);
+        let _ = bp.execute(&mut batch, &mut ExecMemo::new());
     }
 }

@@ -16,6 +16,7 @@ use nn_graph::builder::GraphBuilder;
 use nn_graph::graph::retype;
 use nn_graph::{Activation, DataType, Graph, Shape};
 use proptest::prelude::*;
+use soc_sim::dvfs::DvfsLadder;
 use soc_sim::engine::{EngineId, EngineKind, EngineSpecBuilder};
 use soc_sim::executor::{estimate_query_secs, run_offline, run_query, QueryResult};
 use soc_sim::plan::{ExecMemo, OfflinePlan, PlanDelta, QueryPlan, StreamPlan, SweepPlan};
@@ -614,9 +615,10 @@ proptest! {
         let states = heterogeneous_states(&soc, k, &ambients, &battery_socs);
         let batch_plan = soc_sim::plan_batch::BatchPlan::broadcast(std::sync::Arc::clone(&plan), k);
         let mut batch = soc_sim::plan_batch::BatchState::gather(&states);
+        let mut memo = ExecMemo::new();
         let mut scalar: Vec<SocState> = states;
         for q in 0..queries {
-            let results = batch_plan.execute(&mut batch);
+            let results = batch_plan.execute(&mut batch, &mut memo);
             for (lane, state) in scalar.iter_mut().enumerate() {
                 let reference = plan.execute(state);
                 assert_bit_identical(&reference, &results[lane]);
@@ -645,9 +647,10 @@ proptest! {
         let batch_plan = soc_sim::plan_batch::BatchPlan::broadcast(std::sync::Arc::clone(&plan), k);
         let mut full = soc_sim::plan_batch::BatchState::gather(&states);
         let mut fast = soc_sim::plan_batch::BatchState::gather(&states);
+        let mut memo = ExecMemo::new();
         for _ in 0..queries {
-            let results = batch_plan.execute(&mut full);
-            let latencies = fast_path_latencies(&batch_plan, &mut fast);
+            let results = batch_plan.execute(&mut full, &mut memo);
+            let latencies = fast_path_latencies(&batch_plan, &mut fast, &mut memo);
             for (r, l) in results.iter().zip(&latencies) {
                 prop_assert_eq!(r.latency, *l);
             }
@@ -689,13 +692,14 @@ proptest! {
 
         let states = heterogeneous_states(&soc, deltas.len(), &ambients, &[0.15, 0.8]);
         let mut batch = soc_sim::plan_batch::BatchState::gather(&states);
+        let mut memo = ExecMemo::new();
         let mut scalar: Vec<(QueryPlan, SocState)> = deltas
             .iter()
             .zip(&states)
             .map(|(&delta, state)| (sweep.relower_query(delta), state.clone()))
             .collect();
         for q in 0..queries {
-            let results = batch_plan.execute(&mut batch);
+            let results = batch_plan.execute(&mut batch, &mut memo);
             for (lane, (lane_plan, state)) in scalar.iter_mut().enumerate() {
                 let reference = lane_plan.execute(state);
                 assert_bit_identical(&reference, &results[lane]);
@@ -709,13 +713,124 @@ proptest! {
     }
 }
 
+/// One fleet-style lane: the catalog ladder scaled by a silicon speed
+/// bin, so one DVFS level maps to different frequency bits in different
+/// lanes; an ambient near the throttle onset; and, for battery lanes, a
+/// small pack whose charge starts around the battery-saver threshold.
+fn fleet_lane(soc: &Soc, speed: f64, ambient: f64, battery: Option<(f64, f64)>) -> SocState {
+    let mut state = match battery {
+        Some((capacity_wh, charge)) => soc.new_state_on_battery(
+            ambient,
+            soc_sim::battery::BatteryState::new(
+                soc_sim::battery::BatterySpec {
+                    capacity_wh,
+                    ..soc_sim::battery::BatterySpec::default()
+                },
+                charge,
+            ),
+        ),
+        None => soc.new_state(ambient),
+    };
+    let ladder = DvfsLadder::default().factors().iter().map(|f| f * speed).collect();
+    state.dvfs = DvfsLadder::new(ladder);
+    state
+}
+
+/// Lanes drawn for [`relowered_waves_through_one_memo_match_scalar_relowerings`]:
+/// the waves' lanes are cut from one run of draws, in order.
+const DRAWN_LANES: usize = 5 * 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Waves through one memo, as the fleet executor runs them: every
+    /// wave re-targets one [`BatchPlan`] with
+    /// [`SweepPlan::relower_query_batch_into`] and one `BatchState` with
+    /// `refill`, and every step of every wave reads the same
+    /// [`ExecMemo`]. Lanes disagree on frequency bits at one DVFS level
+    /// (speed bins), and cross throttle and battery-saver points in the
+    /// middle of a wave. At every step each lane equals a scalar
+    /// re-lowering executed with no memo, bit for bit: latency,
+    /// frequency, level, temperature, joules, breakdown and the scattered
+    /// state.
+    #[test]
+    fn relowered_waves_through_one_memo_match_scalar_relowerings(
+        channels in 4usize..32,
+        cuts in proptest::collection::vec(0usize..16, 0..3),
+        engines in proptest::collection::vec(0usize..2, 1..4),
+        wave_lanes in proptest::collection::vec(1usize..17, 1..6),
+        wave_queries in proptest::collection::vec(1usize..24, 5..6),
+        speed_bins in proptest::collection::vec(0usize..3, DRAWN_LANES..DRAWN_LANES + 1),
+        ambients in proptest::collection::vec(42.0f64..48.0, DRAWN_LANES..DRAWN_LANES + 1),
+        on_battery in proptest::collection::vec(0usize..2, DRAWN_LANES..DRAWN_LANES + 1),
+        capacities_wh in proptest::collection::vec(1.0e-4f64..1.0e-3, DRAWN_LANES..DRAWN_LANES + 1),
+        charges in proptest::collection::vec(0.19f64..0.23, DRAWN_LANES..DRAWN_LANES + 1),
+        knobs_us in proptest::collection::vec(0.0f64..300.0, DRAWN_LANES..DRAWN_LANES + 1),
+    ) {
+        const SPEED_BINS: [f64; 3] = [1.0, 0.96, 0.94];
+        // A 10-ms RC time constant: a lane that starts near the throttle
+        // onset heats past DVFS points within a wave's few milliseconds.
+        let mut soc = soc();
+        soc.thermal.capacitance_j_per_c = 0.001;
+        let graph = retype(&small_graph(channels, 2), DataType::I8);
+        let schedule = random_schedule(&graph, &cuts, &engines, 20.0, 40.0);
+        let sweep = SweepPlan::new(&soc, &graph, &schedule);
+        let base = sweep.query_overhead_us();
+
+        let mut memo = ExecMemo::new();
+        let mut batch_plan: Option<soc_sim::plan_batch::BatchPlan> = None;
+        let mut batch = soc_sim::plan_batch::BatchState::default();
+        let mut next_lane = 0usize;
+        for (w, &lanes) in wave_lanes.iter().enumerate() {
+            let drawn = next_lane..next_lane + lanes;
+            next_lane += lanes;
+            let deltas: Vec<PlanDelta> =
+                drawn.clone().map(|i| PlanDelta::QueryOverheadUs(base + knobs_us[i])).collect();
+            let states: Vec<SocState> = drawn
+                .clone()
+                .map(|i| {
+                    let battery = (on_battery[i] == 1).then_some((capacities_wh[i], charges[i]));
+                    fleet_lane(&soc, SPEED_BINS[speed_bins[i]], ambients[i], battery)
+                })
+                .collect();
+            match batch_plan.as_mut() {
+                Some(bp) => sweep.relower_query_batch_into(&deltas, bp),
+                None => batch_plan = Some(sweep.relower_query_batch(&deltas)),
+            }
+            let bp = batch_plan.as_ref().expect("batch plan just ensured");
+            batch.refill(&states);
+            let mut scalar: Vec<(QueryPlan, SocState)> = deltas
+                .iter()
+                .zip(states)
+                .map(|(&delta, state)| (sweep.relower_query(delta), state))
+                .collect();
+            for q in 0..wave_queries[w] {
+                let results = bp.execute(&mut batch, &mut memo);
+                for (lane, (lane_plan, state)) in scalar.iter_mut().enumerate() {
+                    assert_bit_identical(&lane_plan.execute(state), &results[lane]);
+                }
+                prop_assert_eq!(
+                    &batch.scatter(),
+                    &scalar.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
+                    "state drift at wave {} query {}", w, q
+                );
+            }
+        }
+        prop_assert!(
+            memo.operating_points() <= SPEED_BINS.len() * DvfsLadder::default().len(),
+            "one memo entry per distinct frequency"
+        );
+    }
+}
+
 /// Borrow-friendly wrapper: copies the fast-path latency slice out of the
 /// batch state so callers can keep using the state afterwards.
 fn fast_path_latencies(
     plan: &soc_sim::plan_batch::BatchPlan,
     batch: &mut soc_sim::plan_batch::BatchState,
+    memo: &mut ExecMemo,
 ) -> Vec<SimDuration> {
-    plan.execute_latencies(batch).to_vec()
+    plan.execute_latencies(batch, memo).to_vec()
 }
 
 /// At a thermal fixed point (an envelope that never throttles) the DVFS
