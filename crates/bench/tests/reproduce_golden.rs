@@ -92,16 +92,3 @@ fn reproduce_all_matches_golden() {
 fn reproduce_fleet_matches_golden() {
     check("fleet", FLEET_GOLDEN);
 }
-
-#[test]
-fn first_difference_names_the_first_unequal_line() {
-    assert_eq!(first_difference("a\nb\n", "a\nb\n"), None);
-    let diff = first_difference("a\nb\nc\n", "a\nB\nc\n").expect("texts differ");
-    assert!(diff.starts_with("first difference at line 2 "), "{diff}");
-    assert!(diff.contains("golden:  Some(\"b\")") && diff.contains("printed: Some(\"B\")"), "{diff}");
-    assert!(!diff.contains("line 3:"), "equal lines are not listed: {diff}");
-    let missing = first_difference("a\nb\n", "a\n").expect("a line is missing");
-    assert!(missing.contains("printed: None"), "{missing}");
-    let newline = first_difference("a\n", "a").expect("the final newline differs");
-    assert!(newline.starts_with("first difference at line 2 "), "{newline}");
-}
