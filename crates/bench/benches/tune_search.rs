@@ -3,9 +3,13 @@
 //! `search` runs the full beam / branch-and-bound `tune()` of one real
 //! submission cell under both objectives, so a regression in pruning or
 //! dedup shows up as wall-clock, not just counter drift. The cell is
-//! MobileBERT on Snapdragon 865+'s TFLite GPU delegate, one of the two
-//! slowest cells of the 64-cell gap table: MobileBERT cells take most of
-//! the `tune` workload's search time (`tune.bert_share`).
+//! MobileBERT on Snapdragon 865+'s TFLite GPU delegate, kept so that the
+//! series stay comparable across changes: MobileBERT cells take most of
+//! the `tune` workload's search time (`tune.bert_share`). It is a
+//! typical phone MobileBERT cell, not the slowest: since the search
+//! skips the rollouts that retrace the last greedy completion, the
+//! slowest cell is usually Dimensity 1100's TFLite GPU latency cell, the
+//! one whose fresh rollouts (195 of 797) cannot be skipped.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlperf_mobile::app::submission_backend;

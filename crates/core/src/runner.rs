@@ -6,11 +6,13 @@
 //! compiled deployment — is immutable after construction. The runner
 //! exploits both facts:
 //!
-//! * [`CompileCache`] memoizes `ChipId::build()` and `Backend::compile()`
-//!   per `(chip, backend, model)` triple behind `Arc`s, so a sweep
-//!   compiles each deployment once instead of once per run — and
-//!   memoizes the lowered [`PlannedDeployment`] (query + offline plans)
-//!   alongside, so per-query graph traversal happens once per triple too.
+//! * [`CompileCache`] memoizes `ChipId::build()` per chip,
+//!   `ModelId::build()` per model and `Backend::compile()` per
+//!   `(chip, backend, model)` triple behind `Arc`s, so a sweep builds each
+//!   reference graph once and compiles each deployment once instead of
+//!   once per run — and memoizes the lowered [`PlannedDeployment`]
+//!   (query + offline plans) alongside, so per-query graph traversal
+//!   happens once per triple too.
 //! * [`SuiteRunner::run`] executes run specs on a fixed-size worker pool
 //!   (`std::thread::scope` + an atomic work index — no external
 //!   dependencies), merging results back into spec order.
@@ -33,6 +35,7 @@ use mobile_backend::backend::{BackendId, CompileError, Deployment};
 use mobile_backend::registry::create;
 use mobile_backend::tune::{tune, TuneOutcome, TunerConfig};
 use nn_graph::models::ModelId;
+use nn_graph::Graph;
 use soc_sim::catalog::ChipId;
 use soc_sim::plan::SweepPlan;
 use soc_sim::soc::Soc;
@@ -40,7 +43,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Memoizes SoC construction and backend compilation.
+/// Memoizes SoC construction, reference-graph construction and backend
+/// compilation.
 ///
 /// Deployments are immutable once compiled (all run-time mutation lives in
 /// `SocState`), so a cached `Arc<Deployment>` can back any number of
@@ -50,6 +54,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Default)]
 pub struct CompileCache {
     socs: Mutex<HashMap<ChipId, Arc<Soc>>>,
+    graphs: Mutex<HashMap<ModelId, Arc<Graph>>>,
     deployments: Mutex<HashMap<DeploymentKey, CompileOutcome>>,
     plans: Mutex<HashMap<DeploymentKey, PlannedDeployment>>,
     sweeps: Mutex<HashMap<DeploymentKey, Arc<SweepPlan>>>,
@@ -106,8 +111,21 @@ impl CompileCache {
         Arc::clone(socs.entry(chip).or_insert_with(|| Arc::new(chip.build())))
     }
 
+    /// The reference graph of a model, built at most once per cache.
+    /// Built outside the cache lock; when two workers race on the same
+    /// model the first insert wins (both builds are identical).
+    fn graph(&self, model: ModelId) -> Arc<Graph> {
+        if let Some(cached) = self.graphs.lock().unwrap().get(&model) {
+            return Arc::clone(cached);
+        }
+        let graph = Arc::new(model.build());
+        Arc::clone(self.graphs.lock().unwrap().entry(model).or_insert(graph))
+    }
+
     /// The compiled deployment for a `(chip, backend, model)` triple,
-    /// compiled at most once via the backend registry.
+    /// compiled at most once via the backend registry from the model's
+    /// cached reference graph (backends retype the reference into a
+    /// graph of their own, so sharing it changes no deployment).
     ///
     /// Compilation runs outside the cache lock so distinct triples never
     /// wait on each other; when two workers race on the same triple the
@@ -139,7 +157,7 @@ impl CompileCache {
             format!("{chip}/{backend}/{model:?}")
         });
         let soc = self.soc(chip);
-        let compiled = create(backend).compile(&model.build(), &soc).map(Arc::new);
+        let compiled = create(backend).compile(&self.graph(model), &soc).map(Arc::new);
         self.deployments
             .lock()
             .unwrap()

@@ -32,16 +32,23 @@
 //!    differences — so pruning never drops the optimum.
 //! 3. **Rank** the rest on `(bound, parent index, target)`, the order a
 //!    stable sort on the bound gives, and keep the best `beam_width`.
-//! 4. **Extend** only the survivors ([`CostModel::extend`] keeps exact
-//!    incremental cost), then **roll out** the best one to a greedy
-//!    completion ([`CostModel::greedy_complete`], which also peeks at
-//!    each node's targets and extends once, with the winner). Fresh
-//!    completions (deduped by exact assignment signature) are scored by
-//!    [`CostModel::finish`] and offered to the incumbent in groups of
-//!    eight, tightening it early. The incumbent moves only at a group
-//!    boundary, so the group size decides which partials the bound
-//!    prunes: it is search policy, and the golden tuning counters
-//!    (`candidates`, `pruned`) are locked under groups of eight.
+//! 4. **Extend** only the survivors, each built into a prefix buffer of
+//!    the level before (`clone_from` of its parent, then
+//!    [`CostModel::extend_in_place`], which keeps exact incremental
+//!    cost), so a level allocates nothing once the beam is full. Then
+//!    **roll out** the best one to a greedy completion
+//!    ([`CostModel::greedy_complete`], which also peeks at each node's
+//!    targets and extends once, with the winner). A greedy completion is
+//!    a function of its prefix alone and retraces itself from any of its
+//!    own prefixes, so when the best survivor is a prefix of the last
+//!    rollout's completion the rollout is skipped and counted as the
+//!    `dedup_hit` it would have been. Fresh completions (deduped by exact
+//!    assignment signature) are scored by [`CostModel::finish`] and
+//!    offered to the incumbent in groups of eight, tightening it early.
+//!    The incumbent moves only at a group boundary, so the group size
+//!    decides which partials the bound prunes: it is search policy, and
+//!    the golden tuning counters (`candidates`, `pruned`) are locked
+//!    under groups of eight.
 //!
 //! The incumbent is **seeded with the vendor heuristic**, so the tuner
 //! can only improve, never regress. With [`TunerConfig::exact`] (an
@@ -302,6 +309,11 @@ pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig
     };
 
     let mut beam = vec![model.root()];
+    // The prefixes of the level before: each level builds its survivors
+    // into these slots, reusing their buffers, then swaps them in.
+    let mut spare: Vec<PartialAssign> = Vec::new();
+    // The assignment of the most recent greedy completion, fresh or not.
+    let mut last_rollout: Vec<u8> = Vec::new();
     let mut frontier: Vec<(f64, usize, u8)> = Vec::new();
     for level in 0..n {
         frontier.clear();
@@ -331,23 +343,40 @@ pub fn tune(soc: &Soc, graph: &Graph, heuristic: &Schedule, config: &TunerConfig
         }
         frontier.sort_unstable_by(rank);
         // Only the survivors are built.
-        let next: Vec<PartialAssign> =
-            frontier.iter().map(|&(_, parent, k)| model.extend(&beam[parent], k)).collect();
+        spare.truncate(frontier.len());
+        for (slot, &(_, parent, k)) in frontier.iter().enumerate() {
+            match spare.get_mut(slot) {
+                Some(q) => {
+                    q.clone_from(&beam[parent]);
+                    model.extend_in_place(q, k);
+                }
+                None => spare.push(model.extend(&beam[parent], k)),
+            }
+        }
+        std::mem::swap(&mut beam, &mut spare);
         if level + 1 < n {
             // Roll out the most promising survivor to a full candidate;
             // fresh completions queue for scoring and tighten the
-            // incumbent (= sharper pruning) early.
-            let rollout = model.greedy_complete(&next[0], energy_objective);
-            if seen.insert(rollout.assign.clone()) {
-                pending.push(rollout);
-                if pending.len() >= ROLLOUT_GROUP {
-                    flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
-                }
-            } else {
+            // incumbent (= sharper pruning) early. A greedy completion
+            // depends only on its prefix, and from any prefix of its own
+            // result it retraces that result: when the last rollout
+            // extends `beam[0]`, this one would return it again, and it is
+            // already in `seen`.
+            if last_rollout.starts_with(&beam[0].assign) {
                 stats.dedup_hits += 1;
+            } else {
+                let rollout = model.greedy_complete(&beam[0], energy_objective);
+                last_rollout.clone_from(&rollout.assign);
+                if seen.insert(rollout.assign.clone()) {
+                    pending.push(rollout);
+                    if pending.len() >= ROLLOUT_GROUP {
+                        flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
+                    }
+                } else {
+                    stats.dedup_hits += 1;
+                }
             }
         }
-        beam = next;
     }
     flush_pending(&model, &mut pending, objective, &mut incumbent, &mut stats);
     // Surviving final-level prefixes are complete candidates with exact
@@ -459,7 +488,7 @@ pub fn exhaustive_optimum(
 mod tests {
     use super::*;
     use crate::backend::Backend;
-    use crate::backends::Nnapi;
+    use crate::backends::{Nnapi, TfliteGpu};
     use crate::DriverQuality;
     use nn_graph::builder::GraphBuilder;
     use nn_graph::graph::retype;
@@ -542,6 +571,33 @@ mod tests {
             let got = objective_of(outcome.tuned, objective);
             let want = objective_of(oracle, objective);
             assert_eq!(got.to_bits(), want.to_bits(), "{objective} optimum drifted");
+        }
+    }
+
+    /// All five search counters of four catalog MobileBERT cells (TFLite
+    /// GPU delegate, beam width 64), pinned: the tuning golden locks only
+    /// `candidates` and `pruned`, and a search that skips or repeats work
+    /// it should not shows in `expanded`, `dedup_hits` and
+    /// `beam_truncations` first.
+    #[test]
+    fn mobilebert_search_counters_are_pinned() {
+        let cells = [
+            (ChipId::Dimensity1100, TunerConfig::latency(), [99, 4941, 185_254, 699, 134_633]),
+            (ChipId::Dimensity1100, TunerConfig::energy(), [64, 0, 191_252, 797, 140_288]),
+            (ChipId::Snapdragon865Plus, TunerConfig::latency(), [2, 32_990, 181_387, 796, 133_890]),
+            (ChipId::Snapdragon865Plus, TunerConfig::energy(), [64, 0, 229_851, 797, 178_877]),
+        ];
+        let reference = ModelId::MobileBert.build();
+        for (chip, config, want) in cells {
+            let soc = chip.build();
+            let dep = TfliteGpu.compile(&reference, &soc).expect("TFLite GPU compiles MobileBERT");
+            let s = tune(&soc, &dep.graph, &dep.schedule, &config).stats;
+            let got = [s.candidates, s.pruned, s.expanded, s.dedup_hits, s.beam_truncations];
+            assert_eq!(
+                got, want,
+                "{chip} {}: (candidates, pruned, expanded, dedup_hits, beam_truncations)",
+                config.objective
+            );
         }
     }
 

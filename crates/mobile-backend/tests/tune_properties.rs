@@ -2,17 +2,22 @@
 //! heuristics and SoCs, the tuned schedule must always be valid,
 //! executable, and no worse than the vendor heuristic at 0 ULPs of the
 //! canonical evaluators — and with an unbounded beam, branch-and-bound
-//! pruning must never drop the exhaustive optimum.
+//! pruning must never drop the exhaustive optimum. A greedy completion
+//! must retrace itself from its own prefixes, which is what lets the
+//! search skip a rollout that starts on the last completion's path.
 
+use mobile_backend::backend::Backend;
+use mobile_backend::backends::TfliteGpu;
 use mobile_backend::partition::{partition, FallbackPolicy, PartitionPlan, Target};
-use mobile_backend::tune::{exhaustive_optimum, tune, Objective, TunerConfig};
+use mobile_backend::tune::{exhaustive_optimum, search_model, tune, Objective, TunerConfig};
 use nn_graph::builder::GraphBuilder;
 use nn_graph::graph::retype;
+use nn_graph::models::ModelId;
 use nn_graph::{Activation, DataType, Graph, Shape};
 use proptest::prelude::*;
 use soc_sim::catalog::ChipId;
 use soc_sim::executor::estimate_query_secs;
-use soc_sim::search::active_energy_j;
+use soc_sim::search::{active_energy_j, CostModel};
 use soc_sim::soc::Soc;
 
 /// A small random CNN whose depth/width vary per seed (same shape family
@@ -66,8 +71,79 @@ fn heuristic_for(
     partition(graph, soc, &plan).expect("CPU fallback covers everything")
 }
 
+/// The fact the tuner's rollout skip rests on: a greedy completion `R`
+/// of a random prefix `Q`, greedily completed again from `R`'s own
+/// prefixes `R[..m]` (`m` from `Q.len()` to `n - 1`), returns `R` with
+/// bit-equal scores. `seed` drives the path and the lengths.
+fn assert_greedy_retraces(model: &CostModel, energy_objective: bool, mut seed: u64) {
+    let n = model.num_nodes();
+    let t = model.targets().len();
+    let mut draw = |bound: usize| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed % bound as u64) as usize
+    };
+    let q_len = draw(n - 1);
+    let mut q = model.root();
+    for i in 0..q_len {
+        let mut k = draw(t);
+        while !model.is_supported(i, k) {
+            k = (k + 1) % t;
+        }
+        model.extend_in_place(&mut q, k as u8);
+    }
+    let r = model.greedy_complete(&q, energy_objective);
+    let r_score = model.finish(&r);
+    let middle = q_len + 1 + draw(n - q_len - 1);
+    for m in [q_len, q_len + 1, middle, n - 1] {
+        let mut prefix = model.root();
+        for &k in &r.assign[..m] {
+            model.extend_in_place(&mut prefix, k);
+        }
+        let again = model.greedy_complete(&prefix, energy_objective);
+        assert_eq!(again.assign, r.assign, "Q.len() {q_len}, m {m}, energy {energy_objective}");
+        let score = model.finish(&again);
+        assert_eq!(score.latency_secs.to_bits(), r_score.latency_secs.to_bits(), "m {m}");
+        assert_eq!(score.energy_j.to_bits(), r_score.energy_j.to_bits(), "m {m}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A greedy completion retraces itself from any of its own prefixes
+    /// at least as long as the prefix it started from, on random graphs
+    /// and heuristics and on a catalog MobileBERT deployment (Dimensity
+    /// 1100's TFLite GPU delegate, the cell whose search runs the most
+    /// fresh rollouts), under both objectives.
+    #[test]
+    fn greedy_completion_retraces_from_its_own_prefixes(
+        blocks in 1usize..6,
+        channels in 4usize..24,
+        with_postproc: bool,
+        chip_idx in 0usize..8,
+        policy_kind: u8,
+        policy_param in 0usize..16,
+        sync_us in 0.0f64..200.0,
+        query_us in 0.0f64..200.0,
+        seed in 1u64..u64::MAX,
+    ) {
+        let graph = retype(&random_graph(blocks, channels, with_postproc), DataType::U8);
+        let soc = ChipId::ALL[chip_idx].build();
+        let heuristic = heuristic_for(&graph, &soc, policy_kind, policy_param, sync_us, query_us);
+        let random_model = search_model(&soc, &graph, &heuristic);
+        let dimensity = ChipId::Dimensity1100.build();
+        let bert = TfliteGpu
+            .compile(&ModelId::MobileBert.build(), &dimensity)
+            .expect("TFLite GPU compiles MobileBERT");
+        let bert_model = search_model(&dimensity, &bert.graph, &bert.schedule);
+        for model in [&random_model, &bert_model] {
+            for energy_objective in [false, true] {
+                assert_greedy_retraces(model, energy_objective, seed);
+            }
+        }
+    }
 
     /// On any graph/heuristic/SoC and at any beam width, the tuned
     /// schedule is valid, respects per-engine op support, and its

@@ -15,7 +15,11 @@
 //!   [`StreamPlan::sample_secs`]`(1.0, 1)` **bit-exactly** when the
 //!   prefix is completed ([`CostModel::finish`]). This is what makes a
 //!   branch-and-bound search sound at 0 ULPs: the incumbent and the
-//!   candidates are scored by the same arithmetic as the executor.
+//!   candidates are scored by the same arithmetic as the executor. A
+//!   prefix is its assignment plus the first node of its open stage and
+//!   scalar accumulators: every stage's target is read back from the
+//!   assignment, so copying a prefix moves one byte per node, and its
+//!   `clone_from` reuses the destination's buffer.
 //! - [`CostModel::bound_latency`] / [`CostModel::bound_energy`] give an
 //!   admissible lower bound (committed exact cost + best-case roofline
 //!   suffix) used to prune partials that cannot beat the incumbent.
@@ -64,17 +68,21 @@ pub struct SearchScore {
 /// A prefix of a per-op assignment, with exact incremental cost state.
 ///
 /// Extended one node at a time (in topological order) via
-/// [`CostModel::extend`]; the accumulators mirror the fold order of
-/// `StreamPlan::lower` so that completing the prefix reproduces the
-/// executor's score bit-for-bit.
-#[derive(Debug, Clone)]
+/// [`CostModel::extend_in_place`]; the accumulators mirror the fold order
+/// of `StreamPlan::lower` so that completing the prefix reproduces the
+/// executor's score bit-for-bit. Every field is a pure function of
+/// `assign`: the stages are the maximal runs of equal targets, so a node
+/// `u` lies in a closed stage exactly when `u < open_start`, its stage's
+/// target is `assign[u]`, and the open stage's target is
+/// `assign.last()`.
+#[derive(Debug)]
 pub struct PartialAssign {
     /// Target index per assigned node, in node order.
     pub assign: Vec<u8>,
-    /// Stage index of each assigned node.
-    stage_of: Vec<u32>,
-    /// Target index of each stage opened so far (last = open stage).
-    stage_target: Vec<u8>,
+    /// First node of the open stage (0 while nothing is assigned).
+    open_start: u32,
+    /// Number of stages opened so far.
+    num_stages: u32,
     /// Σ per-node roofline terms, in node order (the `ops` sum).
     ops_sum: f64,
     /// Σ transfer terms of *closed* stages, in stage order.
@@ -89,6 +97,21 @@ pub struct PartialAssign {
     open_bytes: u64,
     /// Bitmask of engines already launched (by engine index).
     launched: u64,
+}
+
+/// `clone_from` reuses the destination's assignment buffer, so a beam
+/// level can build its survivors into the prefixes of the level before
+/// without allocating.
+impl Clone for PartialAssign {
+    fn clone(&self) -> Self {
+        PartialAssign { assign: self.assign.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut assign = std::mem::take(&mut self.assign);
+        assign.clone_from(&source.assign);
+        *self = PartialAssign { assign, ..*source };
+    }
 }
 
 impl PartialAssign {
@@ -107,7 +130,7 @@ impl PartialAssign {
     /// Number of stages the prefix spans so far.
     #[must_use]
     pub fn num_stages(&self) -> usize {
-        self.stage_target.len()
+        self.num_stages as usize
     }
 }
 
@@ -270,8 +293,8 @@ impl CostModel {
     pub fn root(&self) -> PartialAssign {
         PartialAssign {
             assign: Vec::with_capacity(self.num_nodes),
-            stage_of: Vec::with_capacity(self.num_nodes),
-            stage_target: Vec::new(),
+            open_start: 0,
+            num_stages: 0,
             ops_sum: 0.0,
             transfer: 0.0,
             overhead: self.query_secs,
@@ -292,9 +315,9 @@ impl CostModel {
         let i = p.assign.len();
         debug_assert!(i < self.num_nodes, "assignment already complete");
         debug_assert!(self.supported[i * self.targets.len() + k as usize]);
-        if p.stage_target.last() != Some(&k) {
+        if p.assign.last() != Some(&k) {
             // Close the open stage (energy + transfer become committed)…
-            if let Some(&prev) = p.stage_target.last() {
+            if let Some(&prev) = p.assign.last() {
                 p.energy += self.power_w[prev as usize] * p.stage_time;
                 if p.open_bytes > 0 {
                     p.transfer += self.interconnect.transfer_secs(p.open_bytes);
@@ -303,7 +326,8 @@ impl CostModel {
                 p.open_bytes = 0;
             }
             // …and open a new one: launch-if-first-use, then sync.
-            p.stage_target.push(k);
+            p.open_start = i as u32;
+            p.num_stages += 1;
             let e = self.engine_of[k as usize];
             if p.launched & (1 << e) == 0 {
                 p.launched |= 1 << e;
@@ -311,19 +335,17 @@ impl CostModel {
             }
             p.overhead += self.sync_secs;
         }
-        let si = (p.stage_target.len() - 1) as u32;
-        p.stage_of.push(si);
         p.assign.push(k);
         let term = self.term[i * self.targets.len() + k as usize];
         p.ops_sum += term;
         p.stage_time += term;
-        // Cross-engine inputs feed bytes into the open stage (producer
-        // stage dtype sizes the tensor, as in `Schedule::cross_engine_bytes`).
+        // Cross-engine inputs from closed stages feed bytes into the open
+        // stage (producer stage dtype sizes the tensor, as in
+        // `Schedule::cross_engine_bytes`).
         let my_engine = self.engine_of[k as usize];
         for &u in &self.inputs[i] {
-            let ps = p.stage_of[u as usize];
-            if ps != si {
-                let pt = p.stage_target[ps as usize];
+            if u < p.open_start {
+                let pt = p.assign[u as usize];
                 if self.engine_of[pt as usize] != my_engine {
                     p.open_bytes += self.out_bytes[u as usize * self.targets.len() + pt as usize];
                 }
@@ -331,7 +353,10 @@ impl CostModel {
         }
     }
 
-    /// Clone-and-extend: the beam-search expansion step.
+    /// Clone-and-extend: a new prefix one node longer than `p`, which is
+    /// left as it is. (The tuner builds its survivors in place instead:
+    /// [`PartialAssign`]'s `clone_from` into a reused slot, then
+    /// [`Self::extend_in_place`].)
     #[must_use]
     pub fn extend(&self, p: &PartialAssign, k: u8) -> PartialAssign {
         let mut q = p.clone();
@@ -353,7 +378,7 @@ impl CostModel {
         debug_assert_eq!(p.assign.len(), self.num_nodes, "assignment incomplete");
         let mut transfer = p.transfer;
         let mut energy = p.energy;
-        if let Some(&t) = p.stage_target.last() {
+        if let Some(&t) = p.assign.last() {
             energy += self.power_w[t as usize] * p.stage_time;
             if p.open_bytes > 0 {
                 transfer += self.interconnect.transfer_secs(p.open_bytes);
@@ -386,10 +411,7 @@ impl CostModel {
     /// supported `power · term`.
     #[must_use]
     pub fn bound_energy(&self, p: &PartialAssign) -> f64 {
-        let open = p
-            .stage_target
-            .last()
-            .map_or(0.0, |&t| self.power_w[t as usize] * p.stage_time);
+        let open = p.assign.last().map_or(0.0, |&t| self.power_w[t as usize] * p.stage_time);
         p.energy + open + self.suffix_energy[p.assign.len()]
     }
 
@@ -418,9 +440,9 @@ impl CostModel {
         let mut stage_time = p.stage_time;
         let mut energy = p.energy;
         let mut open_bytes = p.open_bytes;
-        let new_stage = p.stage_target.last() != Some(&k);
+        let new_stage = p.assign.last() != Some(&k);
         if new_stage {
-            if let Some(&prev) = p.stage_target.last() {
+            if let Some(&prev) = p.assign.last() {
                 energy += self.power_w[prev as usize] * stage_time;
                 if open_bytes > 0 {
                     transfer += self.interconnect.transfer_secs(open_bytes);
@@ -440,13 +462,13 @@ impl CostModel {
             return energy + self.power_w[k as usize] * stage_time + self.suffix_energy[i + 1];
         }
         let ops_sum = p.ops_sum + term;
-        // The extension's open stage: a new one after the last, or the last.
-        let si = p.stage_target.len() - usize::from(!new_stage);
+        // The extension's open stage: a new one starting at `i`, or the
+        // last one.
+        let open_start = if new_stage { i as u32 } else { p.open_start };
         let my_engine = self.engine_of[k as usize];
         for &u in &self.inputs[i] {
-            let ps = p.stage_of[u as usize] as usize;
-            if ps != si {
-                let pt = p.stage_target[ps];
+            if u < open_start {
+                let pt = p.assign[u as usize];
                 if self.engine_of[pt as usize] != my_engine {
                     open_bytes += self.out_bytes[u as usize * t + pt as usize];
                 }
@@ -721,6 +743,57 @@ mod tests {
             }
             assert!(transfers > 0, "case {case}: no cross-engine transfer was exercised");
         }
+    }
+
+    /// Every field of a prefix, floats as bits.
+    fn fields(p: &PartialAssign) -> (Vec<u8>, [u64; 9]) {
+        let words = [
+            u64::from(p.open_start),
+            u64::from(p.num_stages),
+            p.ops_sum.to_bits(),
+            p.transfer.to_bits(),
+            p.overhead.to_bits(),
+            p.stage_time.to_bits(),
+            p.energy.to_bits(),
+            p.open_bytes,
+            p.launched,
+        ];
+        (p.assign.clone(), words)
+    }
+
+    /// A beam slot is reused: `clone_from` a prefix into a slot that holds
+    /// a different, longer prefix, then extend it in place. The result
+    /// must be the prefix `extend` builds from scratch, in every field.
+    #[test]
+    fn reused_slot_extends_like_a_fresh_clone() {
+        let soc = ChipId::Snapdragon865Plus.build();
+        let graph = ModelId::MobileBert.build();
+        let targets = every_engine_targets(&soc);
+        let model = CostModel::new(&soc, &graph, &targets, 10.0, 5.0);
+        let n = model.num_nodes();
+        let path = sticky_path(&model, 0x51a7_0001);
+        let other = sticky_path(&model, 0x51a7_0002);
+        let mut p = model.root();
+        let mut slot = model.root();
+        let mut stale_open_starts = 0usize;
+        for (i, &next) in path.iter().enumerate().take(n - 1) {
+            // The slot holds `other`'s prefix, 1 to 24 nodes longer.
+            slot.clone_from(&model.root());
+            for &k in &other[..(i + 1 + i % 24).min(n)] {
+                model.extend_in_place(&mut slot, k);
+            }
+            stale_open_starts += usize::from(slot.open_start != p.open_start);
+            let held = slot.clone();
+            for k in (0..targets.len()).filter(|&k| model.is_supported(i, k)) {
+                slot.clone_from(&held);
+                slot.clone_from(&p);
+                model.extend_in_place(&mut slot, k as u8);
+                let fresh = model.extend(&p, k as u8);
+                assert_eq!(fields(&slot), fields(&fresh), "node {i}, target {k}");
+            }
+            model.extend_in_place(&mut p, next);
+        }
+        assert!(stale_open_starts > n / 2, "slots rarely held another open stage");
     }
 
     #[test]
