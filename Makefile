@@ -11,8 +11,10 @@ CARGO ?= cargo
 ## the fleet and tuning determinism smokes, and the benchmark self-test.
 check: build test clippy doc golden scenarios serve-metrics fleet tune bench-smoke
 
+## `--locked`: a manifest edit that would rewrite Cargo.lock fails here
+## instead of silently changing the lock.
 build:
-	$(CARGO) build --release
+	$(CARGO) build --release --locked
 
 test:
 	$(CARGO) test -q
@@ -94,8 +96,10 @@ tune: build
 ## Build the repo benchmark (perfbench/, a package outside the
 ## workspace, so nothing above compiles it) and run its self-test: tiny
 ## inputs through every workload, every metric and every output check.
+## `--locked` fails on a dependency edit that would rewrite the
+## benchmark's perfbench/Cargo.lock.
 bench-smoke:
-	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
+	$(CARGO) test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 ## Regenerate every artifact with per-query tracing; one JSON trace per
 ## artifact lands in out/trace/.

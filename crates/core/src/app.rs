@@ -200,7 +200,7 @@ mod tests {
         let config = AppConfig {
             rules: RunRules::smoke_test(),
             offline_classification: true,
-            scenario_matrix: false,
+            scenario_matrix: true,
             tuner: None,
         };
         let report =
@@ -210,9 +210,14 @@ mod tests {
         for s in &report.scores {
             assert!(s.accuracy_passed, "{}: {} < {}", s.def.task, s.accuracy, s.quality_target);
         }
-        // Offline ran for classification only.
-        assert!(report.score(Task::ImageClassification).unwrap().offline.is_some());
+        // Offline and the scenario searches ran for classification only.
+        let classification = report.score(Task::ImageClassification).unwrap();
+        assert!(classification.offline.is_some());
+        assert!(classification.server_qps().unwrap() > 0.0);
+        assert!(classification.multi_stream_streams().unwrap() >= 1);
         assert!(report.score(Task::ObjectDetection).unwrap().offline.is_none());
+        let qa = report.score(Task::QuestionAnswering).unwrap();
+        assert!(qa.server.is_none() && qa.multi_stream.is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use mobile_backend::backend::BackendId;
 use mobile_backend::registry::create;
 use mobile_data::calibration_set::is_approved_set;
 use nn_graph::Graph;
-use quant::equivalence::check_equivalence;
+use quant::check_equivalence;
 use serde::{Deserialize, Serialize};
 use soc_sim::catalog::ChipId;
 use std::fmt;

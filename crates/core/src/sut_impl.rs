@@ -19,7 +19,7 @@ use mobile_data::types::{AnswerSpan, Detection, LabelMap};
 use loadgen::sut::SystemUnderTest;
 use loadgen::trace::{QueryTelemetry, StageTelemetry};
 use mobile_metrics::miou::IouCounts;
-use quant::{quality::nominal_retention, Scheme, Sensitivity};
+use quant::{nominal_retention, Scheme, Sensitivity};
 use soc_sim::executor::QueryResult;
 use soc_sim::plan::{ExecMemo, OfflinePlan, QueryPlan, QueryStep};
 use soc_sim::soc::{Soc, SocState};

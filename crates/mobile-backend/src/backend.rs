@@ -7,7 +7,7 @@
 //! the MLPerf app's backend layer does.
 
 use crate::partition::PartitionError;
-use nn_graph::{DataType, Graph};
+use nn_graph::Graph;
 use quant::Scheme;
 use serde::{Deserialize, Serialize};
 use soc_sim::schedule::Schedule;
@@ -103,21 +103,6 @@ impl Deployment {
                 peak_activation.max(node.output.shape.byte_size(dtype) as u64);
         }
         weights + peak_activation
-    }
-
-    /// The dominant precision (by op count) of the deployment, for
-    /// Table 2-style reporting.
-    #[must_use]
-    pub fn dominant_dtype(&self) -> DataType {
-        let mut counts: std::collections::BTreeMap<DataType, usize> = Default::default();
-        for s in &self.schedule.stages {
-            *counts.entry(s.dtype).or_default() += s.nodes.len();
-        }
-        counts
-            .into_iter()
-            .max_by_key(|&(_, c)| c)
-            .map(|(d, _)| d)
-            .expect("schedule non-empty")
     }
 }
 

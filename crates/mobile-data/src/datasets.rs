@@ -3,9 +3,8 @@
 //! Each dataset generates its ground truth deterministically from
 //! `(dataset_seed, sample_index)`, so the whole suite is reproducible from
 //! a single seed — mirroring the LoadGen's seeded sample selection (paper
-//! Section 4.1). Images/token streams are produced lazily.
+//! Section 4.1). Ground truth and token streams are produced lazily.
 
-use crate::image::Image;
 use crate::types::{AnswerSpan, BBox, GtObject, LabelMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,13 +69,6 @@ impl SyntheticImageNet {
         assert!(index < self.len);
         sample_rng(self.seed, index).gen_range(1..=IMAGENET_CLASSES)
     }
-
-    /// The raw (pre-preprocessing) image for a sample.
-    #[must_use]
-    pub fn image(&self, index: usize) -> Image {
-        assert!(index < self.len);
-        Image::synthetic(256, 256, 3, self.seed ^ index as u64)
-    }
 }
 
 impl Dataset for SyntheticImageNet {
@@ -139,13 +131,6 @@ impl SyntheticCoco {
                 }
             })
             .collect()
-    }
-
-    /// The raw image for a sample.
-    #[must_use]
-    pub fn image(&self, index: usize) -> Image {
-        assert!(index < self.len);
-        Image::synthetic(480, 640, 3, self.seed ^ (index as u64) << 1)
     }
 }
 
@@ -244,13 +229,6 @@ impl SyntheticAde20k {
             }
         }
         map
-    }
-
-    /// The raw image for a sample.
-    #[must_use]
-    pub fn image(&self, index: usize) -> Image {
-        assert!(index < self.len);
-        Image::synthetic(512, 683, 3, self.seed ^ (index as u64) << 2)
     }
 }
 

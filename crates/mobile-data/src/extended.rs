@@ -87,8 +87,8 @@ impl Dataset for SyntheticLibriSpeech {
 // Super-resolution (DIV2K-like)
 // ---------------------------------------------------------------------------
 
-/// Synthetic SR validation set: high-resolution ground-truth images whose
-/// low-resolution inputs are produced by real bilinear downsampling.
+/// Synthetic SR validation set: seeded high-resolution ground-truth images
+/// for 2x upscaling.
 #[derive(Debug, Clone)]
 pub struct SyntheticDiv2k {
     seed: u64,
@@ -141,14 +141,6 @@ impl SyntheticDiv2k {
         assert!(index < self.len);
         Image::synthetic(self.hr_height, self.hr_width, 3, self.seed ^ (index as u64) << 3)
     }
-
-    /// The low-resolution model input: the ground truth bilinearly
-    /// downsampled by 2x (real preprocessing, not synthesis).
-    #[must_use]
-    pub fn low_res(&self, index: usize) -> Image {
-        self.high_res(index)
-            .resize_bilinear(self.hr_height / 2, self.hr_width / 2)
-    }
 }
 
 impl Dataset for SyntheticDiv2k {
@@ -193,14 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn sr_pairs_are_consistent() {
+    fn sr_ground_truth_has_requested_size() {
         let d = SyntheticDiv2k::with_params(3, 4, 64, 96);
         let hr = d.high_res(0);
-        let lr = d.low_res(0);
         assert_eq!((hr.height, hr.width), (64, 96));
-        assert_eq!((lr.height, lr.width), (32, 48));
-        // Downsampling preserves overall brightness.
-        assert!((hr.mean() - lr.mean()).abs() < 0.02);
     }
 
     #[test]

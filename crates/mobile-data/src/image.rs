@@ -1,9 +1,6 @@
-//! Synthetic images and real image preprocessing.
-//!
-//! The benchmark's preprocessing stages (resize, crop, normalize — paper
-//! Section 4.1) are implemented for real over `f32` pixel buffers; only the
-//! *content* of the images is synthetic (seeded procedural textures), since
-//! ImageNet/COCO/ADE20K are licensed datasets we substitute per DESIGN.md.
+//! Synthetic images: seeded procedural textures standing in for licensed
+//! dataset pixels (substituted per DESIGN.md). The super-resolution set's
+//! ground truth is built from them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,102 +61,6 @@ impl Image {
         }
         img
     }
-
-    /// Pixel accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds coordinates.
-    #[must_use]
-    pub fn get(&self, y: usize, x: usize, c: usize) -> f32 {
-        assert!(y < self.height && x < self.width && c < self.channels);
-        self.data[(y * self.width + x) * self.channels + c]
-    }
-
-    /// Bilinear resize to `(out_h, out_w)` — the benchmark's standard
-    /// resize stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if target dimensions are zero.
-    #[must_use]
-    pub fn resize_bilinear(&self, out_h: usize, out_w: usize) -> Image {
-        assert!(out_h > 0 && out_w > 0);
-        let mut out = Image::zeros(out_h, out_w, self.channels);
-        let sy = self.height as f64 / out_h as f64;
-        let sx = self.width as f64 / out_w as f64;
-        for y in 0..out_h {
-            let fy = ((y as f64 + 0.5) * sy - 0.5).max(0.0);
-            let y0 = fy.floor() as usize;
-            let y1 = (y0 + 1).min(self.height - 1);
-            let wy = (fy - y0 as f64) as f32;
-            for x in 0..out_w {
-                let fx = ((x as f64 + 0.5) * sx - 0.5).max(0.0);
-                let x0 = fx.floor() as usize;
-                let x1 = (x0 + 1).min(self.width - 1);
-                let wx = (fx - x0 as f64) as f32;
-                for c in 0..self.channels {
-                    let tl = self.get(y0, x0, c);
-                    let tr = self.get(y0, x1, c);
-                    let bl = self.get(y1, x0, c);
-                    let br = self.get(y1, x1, c);
-                    let top = tl + (tr - tl) * wx;
-                    let bot = bl + (br - bl) * wx;
-                    out.data[(y * out_w + x) * self.channels + c] = top + (bot - top) * wy;
-                }
-            }
-        }
-        out
-    }
-
-    /// Center crop to `(crop_h, crop_w)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the crop exceeds the image.
-    #[must_use]
-    pub fn center_crop(&self, crop_h: usize, crop_w: usize) -> Image {
-        assert!(crop_h <= self.height && crop_w <= self.width, "crop exceeds image");
-        let oy = (self.height - crop_h) / 2;
-        let ox = (self.width - crop_w) / 2;
-        let mut out = Image::zeros(crop_h, crop_w, self.channels);
-        for y in 0..crop_h {
-            for x in 0..crop_w {
-                for c in 0..self.channels {
-                    out.data[(y * crop_w + x) * self.channels + c] = self.get(oy + y, ox + x, c);
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-channel normalization: `(px - mean[c]) / std[c]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean`/`std` lengths differ from the channel count or any
-    /// `std` is zero.
-    #[must_use]
-    pub fn normalize(&self, mean: &[f32], std: &[f32]) -> Image {
-        assert_eq!(mean.len(), self.channels);
-        assert_eq!(std.len(), self.channels);
-        assert!(std.iter().all(|&s| s != 0.0), "std must be non-zero");
-        let mut out = self.clone();
-        for (i, v) in out.data.iter_mut().enumerate() {
-            let c = i % self.channels;
-            *v = (*v - mean[c]) / std[c];
-        }
-        out
-    }
-
-    /// Mean pixel value (used in tests and calibration observers).
-    #[must_use]
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().sum::<f32>() / self.data.len() as f32
-    }
 }
 
 #[cfg(test)]
@@ -179,55 +80,5 @@ mod tests {
     fn synthetic_in_unit_range() {
         let img = Image::synthetic(16, 16, 3, 7);
         assert!(img.data.iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn resize_identity() {
-        let img = Image::synthetic(24, 24, 3, 1);
-        let same = img.resize_bilinear(24, 24);
-        for (a, b) in img.data.iter().zip(same.data.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn resize_constant_image_stays_constant() {
-        let mut img = Image::zeros(10, 10, 1);
-        img.data.fill(0.5);
-        let up = img.resize_bilinear(37, 23);
-        assert!(up.data.iter().all(|&v| (v - 0.5).abs() < 1e-6));
-        assert_eq!(up.height, 37);
-        assert_eq!(up.width, 23);
-    }
-
-    #[test]
-    fn resize_preserves_mean_roughly() {
-        let img = Image::synthetic(64, 64, 3, 5);
-        let down = img.resize_bilinear(224, 224);
-        assert!((img.mean() - down.mean()).abs() < 0.02);
-    }
-
-    #[test]
-    fn center_crop_geometry() {
-        let img = Image::synthetic(10, 10, 1, 3);
-        let crop = img.center_crop(4, 4);
-        assert_eq!(crop.get(0, 0, 0), img.get(3, 3, 0));
-        assert_eq!(crop.get(3, 3, 0), img.get(6, 6, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "crop exceeds image")]
-    fn oversized_crop_panics() {
-        let img = Image::zeros(4, 4, 1);
-        let _ = img.center_crop(8, 8);
-    }
-
-    #[test]
-    fn normalize_zero_means_unit_std() {
-        let img = Image::synthetic(8, 8, 3, 9);
-        let n = img.normalize(&[0.5, 0.5, 0.5], &[0.5, 0.5, 0.5]);
-        // All values map from [0,1] to [-1,1].
-        assert!(n.data.iter().all(|&v| (-1.0..=1.0).contains(&v)));
-        assert!((n.mean() - (img.mean() - 0.5) / 0.5).abs() < 1e-5);
     }
 }

@@ -181,16 +181,6 @@ impl LatencyHistogram {
         assert!(q > 0.0 && q <= 1.0, "quantile out of range");
         self.value_at_percentile(q * 100.0)
     }
-
-    /// Iterator over non-empty buckets as `(upper_bound, count)` pairs, in
-    /// ascending value order — the exporter-facing view.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::value_at_index(i), c))
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -270,7 +260,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.nonzero_buckets().count(), 0);
     }
 
     #[test]

@@ -44,21 +44,6 @@ impl OpCost {
         self.activation_bytes(dtype) + self.weight_bytes(dtype)
     }
 
-    /// Arithmetic intensity in ops per byte at the given precision.
-    ///
-    /// Values below an engine's ridge point mean the op is memory-bound on
-    /// that engine — typical for depthwise convolutions, which is why they
-    /// underutilize NPUs (one of the motivations for MobileDets re-adding
-    /// regular convolutions, per the paper's Section 3.2).
-    #[must_use]
-    pub fn arithmetic_intensity(&self, dtype: DataType) -> f64 {
-        let bytes = self.total_bytes(dtype);
-        if bytes == 0 {
-            return 0.0;
-        }
-        self.flops as f64 / bytes as f64
-    }
-
     /// Component-wise sum of two costs.
     #[must_use]
     pub fn combine(self, other: OpCost) -> OpCost {
@@ -259,8 +244,6 @@ mod tests {
         let out = Shape::nhwc(56, 56, 144);
         let c = op_cost(&op, &[&input], &out);
         assert_eq!(c.macs, 56 * 56 * 144 * 9);
-        // Depthwise conv has far lower arithmetic intensity than dense conv.
-        assert!(c.arithmetic_intensity(DataType::F32) < 5.0);
     }
 
     #[test]
@@ -293,7 +276,6 @@ mod tests {
         let c = op_cost(&op, &[&input], &out);
         assert_eq!(c.flops, 0);
         assert_eq!(c.input_elements, 7 * 7 * 1280);
-        assert!(c.arithmetic_intensity(DataType::F32) < f64::EPSILON);
     }
 
     #[test]

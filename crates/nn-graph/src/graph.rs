@@ -194,16 +194,6 @@ impl Graph {
         out
     }
 
-    /// Count of nodes per op class.
-    #[must_use]
-    pub fn class_histogram(&self) -> Vec<(OpClass, usize)> {
-        let mut map = std::collections::BTreeMap::new();
-        for n in &self.nodes {
-            *map.entry(n.class()).or_insert(0usize) += 1;
-        }
-        map.into_iter().collect()
-    }
-
     /// Appends a node with pre-inferred output shape; validates input ids.
     pub(crate) fn push(
         &mut self,
@@ -365,15 +355,6 @@ mod tests {
             g.output_node().output.byte_size(),
             4 * n.output.byte_size()
         );
-    }
-
-    #[test]
-    fn class_histogram_counts() {
-        let g = tiny_graph();
-        let hist = g.class_histogram();
-        let conv = hist.iter().find(|(c, _)| *c == OpClass::Conv).unwrap();
-        assert_eq!(conv.1, 1);
-        assert_eq!(hist.iter().map(|(_, n)| n).sum::<usize>(), g.len());
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod cost;
 pub mod graph;
 pub mod models;
 pub mod op;
-pub mod serialize;
 pub mod tensor;
 
 pub use builder::GraphBuilder;

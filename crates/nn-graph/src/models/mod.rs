@@ -48,15 +48,6 @@ impl ModelId {
         ModelId::EdsrMobile,
     ];
 
-    /// The five models of the published v0.7/v1.0 suites (paper Table 1).
-    pub const CORE_SUITE: [ModelId; 5] = [
-        ModelId::MobileNetEdgeTpu,
-        ModelId::SsdMobileNetV2,
-        ModelId::MobileDetSsd,
-        ModelId::DeepLabV3Plus,
-        ModelId::MobileBert,
-    ];
-
     /// Builds the FP32 reference graph for this model.
     #[must_use]
     pub fn build(self) -> Graph {

@@ -37,12 +37,6 @@ impl DataType {
         }
     }
 
-    /// Whether this is a floating-point type.
-    #[must_use]
-    pub const fn is_float(self) -> bool {
-        matches!(self, DataType::F32 | DataType::F16)
-    }
-
     /// Whether this is an 8-bit quantized type.
     #[must_use]
     pub const fn is_quantized(self) -> bool {
@@ -201,13 +195,6 @@ impl TensorDesc {
     pub fn byte_size(&self) -> usize {
         self.shape.byte_size(self.dtype)
     }
-
-    /// The same shape reinterpreted under a different element type, as
-    /// happens when a backend deploys the model at lower precision.
-    #[must_use]
-    pub fn with_dtype(&self, dtype: DataType) -> Self {
-        TensorDesc { shape: self.shape.clone(), dtype }
-    }
 }
 
 impl fmt::Display for TensorDesc {
@@ -231,9 +218,6 @@ mod tests {
 
     #[test]
     fn dtype_classification() {
-        assert!(DataType::F32.is_float());
-        assert!(DataType::F16.is_float());
-        assert!(!DataType::I8.is_float());
         assert!(DataType::I8.is_quantized());
         assert!(DataType::U8.is_quantized());
         assert!(!DataType::F16.is_quantized());
@@ -282,13 +266,5 @@ mod tests {
         assert_eq!(DataType::U8.to_string(), "UINT8");
         let d = TensorDesc::new(Shape::new(&[4]), DataType::F16);
         assert_eq!(d.to_string(), "FP16[4]");
-    }
-
-    #[test]
-    fn tensor_desc_retype() {
-        let d = TensorDesc::new(Shape::nhwc(8, 8, 16), DataType::F32);
-        let q = d.with_dtype(DataType::I8);
-        assert_eq!(q.byte_size() * 4, d.byte_size());
-        assert_eq!(q.shape, d.shape);
     }
 }

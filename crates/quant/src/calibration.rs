@@ -1,13 +1,11 @@
-//! Post-training calibration.
+//! Post-training calibration settings.
 //!
 //! The paper (Section 5.1) mandates that submitters quantize from the
 //! frozen FP32 reference using *only* an approved calibration set —
 //! "typically 500 samples or images from the training or validation data
-//! set". This module implements the observer/estimator side: it watches
-//! activation values and derives [`QuantParams`].
+//! set". This module holds that budget and the range-estimation strategies
+//! a PTQ scheme names; the quality model prices both.
 
-use crate::affine::QuantParams;
-use nn_graph::DataType;
 use serde::{Deserialize, Serialize};
 
 /// Size of the approved calibration set (paper Section 5.1).
@@ -29,212 +27,12 @@ impl Default for CalibrationMethod {
     }
 }
 
-/// Errors from the calibration pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CalibrationError {
-    /// No samples were observed before `finish`.
-    NoSamples,
-    /// The calibration set exceeds the approved sample budget.
-    TooManySamples {
-        /// Samples observed.
-        observed: usize,
-        /// Approved maximum.
-        approved: usize,
-    },
-}
-
-impl std::fmt::Display for CalibrationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CalibrationError::NoSamples => write!(f, "no calibration samples observed"),
-            CalibrationError::TooManySamples { observed, approved } => write!(
-                f,
-                "calibration used {observed} samples but only {approved} are approved"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CalibrationError {}
-
-/// Streaming range observer that produces [`QuantParams`].
-///
-/// # Examples
-///
-/// ```
-/// use quant::calibration::{Calibrator, CalibrationMethod};
-/// use nn_graph::DataType;
-///
-/// let mut cal = Calibrator::new(CalibrationMethod::MinMax, DataType::U8);
-/// cal.observe(&[0.0, 1.0, 5.5]);
-/// cal.observe(&[-0.2, 3.3]);
-/// let params = cal.finish()?;
-/// assert!(params.scale > 0.0);
-/// # Ok::<(), quant::calibration::CalibrationError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Calibrator {
-    method: CalibrationMethod,
-    dtype: DataType,
-    values: Vec<f32>,
-    samples: usize,
-    max_samples: usize,
-}
-
-impl Calibrator {
-    /// Creates a calibrator targeting the given 8-bit type, with the
-    /// approved sample budget.
-    #[must_use]
-    pub fn new(method: CalibrationMethod, dtype: DataType) -> Self {
-        Calibrator {
-            method,
-            dtype,
-            values: Vec::new(),
-            samples: 0,
-            max_samples: APPROVED_CALIBRATION_SAMPLES,
-        }
-    }
-
-    /// Overrides the approved sample budget (for experiments on
-    /// calibration-set sensitivity).
-    #[must_use]
-    pub fn with_sample_budget(mut self, max_samples: usize) -> Self {
-        self.max_samples = max_samples;
-        self
-    }
-
-    /// Observes one calibration sample's activations.
-    pub fn observe(&mut self, activations: &[f32]) {
-        self.samples += 1;
-        self.values.extend_from_slice(activations);
-    }
-
-    /// Number of samples observed so far.
-    #[must_use]
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Finalizes the range estimate into quantization parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CalibrationError::NoSamples`] if nothing was observed, or
-    /// [`CalibrationError::TooManySamples`] if the run-rule sample budget
-    /// was exceeded (submissions may only use the approved set).
-    pub fn finish(mut self) -> Result<QuantParams, CalibrationError> {
-        if self.values.is_empty() {
-            return Err(CalibrationError::NoSamples);
-        }
-        if self.samples > self.max_samples {
-            return Err(CalibrationError::TooManySamples {
-                observed: self.samples,
-                approved: self.max_samples,
-            });
-        }
-        let (min, max) = match self.method {
-            CalibrationMethod::MinMax => {
-                let mut min = f32::INFINITY;
-                let mut max = f32::NEG_INFINITY;
-                for &v in &self.values {
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-                (min, max)
-            }
-            CalibrationMethod::Percentile(p) => {
-                assert!((50.0..=100.0).contains(&p), "percentile must be in [50, 100]");
-                self.values
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite activations"));
-                let n = self.values.len();
-                let tail = (1.0 - p / 100.0) / 2.0;
-                let lo_idx = ((n as f64) * tail).floor() as usize;
-                let hi_idx = n - 1 - lo_idx.min(n - 1);
-                (self.values[lo_idx.min(n - 1)], self.values[hi_idx])
-            }
-        };
-        Ok(QuantParams::from_range(min, max, self.dtype))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::quantization_mse;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
-
-    #[test]
-    fn minmax_covers_extremes() {
-        let mut c = Calibrator::new(CalibrationMethod::MinMax, DataType::U8);
-        c.observe(&[-2.0, 0.5, 7.0]);
-        let p = c.finish().unwrap();
-        assert!(p.dequantize(p.quantize(7.0)) > 6.9);
-        assert!(p.dequantize(p.quantize(-2.0)) < -1.9);
-    }
-
-    #[test]
-    fn empty_errors() {
-        let c = Calibrator::new(CalibrationMethod::MinMax, DataType::U8);
-        assert_eq!(c.finish().unwrap_err(), CalibrationError::NoSamples);
-    }
-
-    #[test]
-    fn sample_budget_enforced() {
-        let mut c = Calibrator::new(CalibrationMethod::MinMax, DataType::U8).with_sample_budget(2);
-        c.observe(&[1.0]);
-        c.observe(&[2.0]);
-        c.observe(&[3.0]);
-        match c.finish().unwrap_err() {
-            CalibrationError::TooManySamples { observed, approved } => {
-                assert_eq!(observed, 3);
-                assert_eq!(approved, 2);
-            }
-            other => panic!("unexpected error {other}"),
-        }
-    }
 
     #[test]
     fn approved_budget_is_500() {
         assert_eq!(APPROVED_CALIBRATION_SAMPLES, 500);
-        let c = Calibrator::new(CalibrationMethod::MinMax, DataType::U8);
-        assert_eq!(c.max_samples, 500);
-    }
-
-    #[test]
-    fn percentile_beats_minmax_with_outliers() {
-        // Gaussian bulk plus a single extreme outlier: percentile
-        // calibration should achieve lower round-trip MSE on the bulk.
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut bulk: Vec<f32> = (0..5000).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        bulk.push(1000.0); // outlier
-
-        let mut mm = Calibrator::new(CalibrationMethod::MinMax, DataType::I8);
-        mm.observe(&bulk);
-        let p_mm = mm.finish().unwrap();
-
-        let mut pc = Calibrator::new(CalibrationMethod::Percentile(99.0), DataType::I8);
-        pc.observe(&bulk);
-        let p_pc = pc.finish().unwrap();
-
-        let bulk_only = &bulk[..5000];
-        let mse_mm = quantization_mse(&p_mm, bulk_only);
-        let mse_pc = quantization_mse(&p_pc, bulk_only);
-        assert!(
-            mse_pc < mse_mm / 10.0,
-            "percentile {mse_pc} should be far below minmax {mse_mm}"
-        );
-    }
-
-    #[test]
-    fn percentile_100_equals_minmax() {
-        let data: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let mut a = Calibrator::new(CalibrationMethod::Percentile(100.0), DataType::U8);
-        a.observe(&data);
-        let mut b = Calibrator::new(CalibrationMethod::MinMax, DataType::U8);
-        b.observe(&data);
-        let pa = a.finish().unwrap();
-        let pb = b.finish().unwrap();
-        assert!((pa.scale - pb.scale).abs() < 1e-6);
     }
 }

@@ -1,10 +1,9 @@
 //! Numerics for the MLPerf Mobile reproduction.
 //!
-//! Covers the paper's Section 5 ("Model Optimizations"): affine
-//! quantization arithmetic, post-training calibration with the approved
-//! 500-sample budget, legal/illegal deployment schemes, a calibrated
-//! quality-impact model, and the structural model-equivalence checks the
-//! audit performs.
+//! Covers the paper's Section 5 ("Model Optimizations"): legal/illegal
+//! deployment schemes, the approved 500-sample calibration budget, a
+//! calibrated quality-impact model, and the structural model-equivalence
+//! checks the audit performs.
 //!
 //! # Examples
 //!
@@ -24,20 +23,12 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod affine;
-pub mod calibration;
-pub mod entropy;
-pub mod equivalence;
-pub mod per_channel;
-pub mod qat;
-pub mod quality;
-pub mod scheme;
+mod calibration;
+mod equivalence;
+mod quality;
+mod scheme;
 
-pub use affine::{quantization_mse, QuantParams};
-pub use entropy::entropy_calibrate;
-pub use per_channel::{per_tensor_mse, PerChannelParams};
-pub use qat::{AgreementError, QatProposal, QatRegistry};
-pub use calibration::{CalibrationError, CalibrationMethod, Calibrator};
+pub use calibration::CalibrationMethod;
 pub use equivalence::{check_equivalence, EquivalenceViolation};
-pub use quality::{nominal_retention, quality_retention, Sensitivity};
-pub use scheme::{Scheme, Transform};
+pub use quality::{nominal_retention, Sensitivity};
+pub use scheme::Scheme;

@@ -81,35 +81,6 @@ impl fmt::Display for Scheme {
     }
 }
 
-/// Model-transformation techniques, classified by legality.
-///
-/// Used by the audit to reject submissions that alter computational
-/// complexity (paper Section 5.1: "banned techniques include channel
-/// pruning, filter pruning, and weight skipping").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Transform {
-    /// Numerics-only change (quantization, FP16 cast) — legal.
-    Requantization,
-    /// Mathematically-equivalent rewrites (op fusion, layout) — legal.
-    EquivalentRewrite,
-    /// Channel pruning — banned.
-    ChannelPruning,
-    /// Filter pruning — banned.
-    FilterPruning,
-    /// Weight skipping / sparsity exploitation — banned.
-    WeightSkipping,
-    /// Retraining (incl. NAS) — banned.
-    Retraining,
-}
-
-impl Transform {
-    /// Whether the rules permit this transform.
-    #[must_use]
-    pub fn is_legal(self) -> bool {
-        matches!(self, Transform::Requantization | Transform::EquivalentRewrite)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,16 +104,6 @@ mod tests {
         assert!(Scheme::Fp32.is_submission_legal());
         assert!(Scheme::Fp16.is_submission_legal());
         assert!(Scheme::ptq_default(DataType::I8).is_submission_legal());
-    }
-
-    #[test]
-    fn banned_transforms() {
-        assert!(Transform::Requantization.is_legal());
-        assert!(Transform::EquivalentRewrite.is_legal());
-        assert!(!Transform::ChannelPruning.is_legal());
-        assert!(!Transform::FilterPruning.is_legal());
-        assert!(!Transform::WeightSkipping.is_legal());
-        assert!(!Transform::Retraining.is_legal());
     }
 
     #[test]

@@ -225,12 +225,6 @@ impl QueryPlan {
         self.stages.len()
     }
 
-    /// Number of lowered ops across all stages.
-    #[must_use]
-    pub fn num_ops(&self) -> usize {
-        self.ops.len()
-    }
-
     /// Executes one query against the plan, advancing the SoC state —
     /// the single-stream hot loop. Allocates nothing beyond the returned
     /// breakdown. See the type-level docs for the bit-identity contract.
@@ -721,18 +715,6 @@ impl SweepPlan {
         }
     }
 
-    /// The baseline (no-delta) single-stream plan.
-    #[must_use]
-    pub fn query_plan(&self) -> &QueryPlan {
-        &self.query
-    }
-
-    /// The baseline (no-delta) estimator profile.
-    #[must_use]
-    pub fn stream_plan(&self) -> &StreamPlan {
-        &self.stream
-    }
-
     /// The schedule-wide per-query overhead knob (µs) the plan was
     /// lowered with — the baseline that
     /// [`PlanDelta::QueryOverheadUs`] perturbations replace, so callers
@@ -874,12 +856,6 @@ impl OfflinePlan {
         let total_power: f64 =
             streams.iter().map(StreamPlan::power_w).sum::<f64>() + soc.idle_power_w;
         OfflinePlan { streams, total_power, idle_power_w: soc.idle_power_w }
-    }
-
-    /// Number of lowered streams.
-    #[must_use]
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
     }
 
     /// Executes `total_samples` across the plan's streams under the fluid

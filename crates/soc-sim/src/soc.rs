@@ -71,15 +71,6 @@ impl Soc {
         self.engines().find(|(_, e)| e.kind == kind).map(|(id, _)| id)
     }
 
-    /// All engines of a kind.
-    #[must_use]
-    pub fn engines_of_kind(&self, kind: EngineKind) -> Vec<EngineId> {
-        self.engines()
-            .filter(|(_, e)| e.kind == kind)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// The CPU engine every schedule can fall back to.
     ///
     /// # Panics
@@ -201,7 +192,6 @@ mod tests {
         let s = soc();
         assert_eq!(s.engine(EngineId(1)).name, "gpu");
         assert_eq!(s.engine_of_kind(EngineKind::Npu), Some(EngineId(2)));
-        assert_eq!(s.engines_of_kind(EngineKind::Npu), vec![EngineId(2), EngineId(3)]);
         assert_eq!(s.cpu(), EngineId(0));
         assert_eq!(s.engine_of_kind(EngineKind::Hta), None);
     }
